@@ -190,19 +190,6 @@ let micro_time tool micro ~size ~n =
         if Report.has_fail report then
           Fmt.epr "WARNING: unexpected FAIL in %s: %a@." micro.m_name Report.pp report;
         t
-      | `Pmtest_packed workers ->
-        (* The flat fast path: packed builders, cursor engine. *)
-        let session = Pmtest.init ~workers ~packed:true () in
-        let pool = Pool.create ~size:psize ~sink:(Pmtest.sink session) () in
-        let t =
-          time_once (fun () ->
-              micro_loop micro pool ~size ~n ~per_insert:(fun _ -> Pmtest.send_trace session);
-              ignore (Pmtest.get_result session))
-        in
-        let report = Pmtest.finish session in
-        if Report.has_fail report then
-          Fmt.epr "WARNING: unexpected FAIL in %s: %a@." micro.m_name Report.pp report;
-        t
       | `Pmtest_profiled workers ->
         (* As [`Pmtest] but with a live observability collector attached. *)
         let session = Pmtest.init ~workers ~obs:(Pmtest_obs.Obs.create ()) () in
@@ -781,12 +768,16 @@ let obs_bench () =
   Fmt.pr "(target: <= 5%% enabled; disabled is the identical code path, so 0%% by@.";
   Fmt.pr " construction — the transparency property test pins report equality)@."
 
-(* --- Flat-trace fast path (packed vs boxed) -------------------------------------------- *)
+(* --- Trace representations (packed vs boxed) --------------------------------------------- *)
 
 module Packed = Pmtest_trace.Packed
 
+(* In-process sessions trace boxed; packed arenas are the client/daemon
+   wire form.  This target times each representation's own layer —
+   emit and check — which is where the daemon's choice of packed has to
+   pay for itself. *)
 let perf () =
-  Fmt.pr "@.### perf — flat-trace fast path: packed vs boxed (%d insertions/cell)@.@." !insertions;
+  Fmt.pr "@.### perf — trace representations: packed (wire) vs boxed (in-process)@.@.";
   (* 1. Codec: the per-event tracing cost of each representation. *)
   let n_events = 400_000 in
   let kinds =
@@ -796,16 +787,13 @@ let perf () =
       Event.Op Model.Sfence;
     |]
   in
-  (* Each representation flushes through its own native take — flushing a
-     boxed builder via [take_packed] would re-encode and overstate its
-     cost. *)
-  let bench_emit name builder flush =
+  let bench_emit name emit flush =
     let t =
       time (fun () ->
           for i = 0 to n_events - 1 do
-            Builder.emit builder kinds.(i mod 3) Loc.none
+            emit kinds.(i mod 3)
           done;
-          flush builder)
+          flush ())
     in
     let ns = t *. 1e9 /. float_of_int n_events in
     Fmt.pr "  %-24s %8.1f ns/event  %10.1f Mev/s@." name ns (1e3 /. ns);
@@ -813,10 +801,19 @@ let perf () =
     ns
   in
   Fmt.pr "codec emit path (%d events):@." n_events;
-  let ns_boxed = bench_emit "boxed builder" (Builder.create ()) (fun b -> ignore (Builder.take b)) in
+  let ns_boxed =
+    let b = Builder.create () in
+    bench_emit "boxed builder"
+      (fun kind -> Builder.emit b kind Loc.none)
+      (fun () -> ignore (Builder.take b))
+  in
   let ns_packed =
-    bench_emit "packed builder" (Builder.create ~packed:true ()) (fun b ->
-        Packed.free (Builder.take_packed b))
+    let arena = ref (Packed.alloc ()) in
+    bench_emit "packed arena"
+      (fun kind -> Packed.push !arena ~thread:0 kind Loc.none)
+      (fun () ->
+        Packed.free !arena;
+        arena := Packed.alloc ())
   in
   let codec_speedup = ns_boxed /. ns_packed in
   Fmt.pr "  emit speedup: %.2fx@." codec_speedup;
@@ -848,61 +845,8 @@ let perf () =
   let engine_speedup = t_box /. t_pak in
   Fmt.pr "  check speedup: %.2fx@." engine_speedup;
   tsv "engine\tctree-section\tcheck\tspeedup\t%.3f" engine_speedup;
-  (* 3. Fig. 10a subset end to end at workers=0: the whole pipeline with
-     checking on the critical path, where representation matters most. *)
-  Fmt.pr "@.fig10a subset, workers=0 (trace + check on the critical path):@.@.";
-  Fmt.pr "%-16s %8s %12s %12s %12s %10s %12s@." "structure" "tx(B)" "base(ms)" "boxed(ms)"
-    "packed(ms)" "run(x)" "overhead(x)";
-  let run_speedups = ref [] and overhead_speedups = ref [] in
-  let subset = List.filter (fun m -> List.mem m.m_name [ "C-Tree"; "HashMap(w/ TX)" ]) micros in
-  List.iter
-    (fun micro ->
-      List.iter
-        (fun size ->
-          let t_base = micro_time `Base micro ~size ~n:!insertions in
-          let t_boxed = micro_time `Pmtest_sync micro ~size ~n:!insertions in
-          let t_packed = micro_time (`Pmtest_packed 0) micro ~size ~n:!insertions in
-          let run_x = ratio t_boxed t_packed in
-          let overhead_x =
-            ratio (max 1e-9 (t_boxed -. t_base)) (max 1e-9 (t_packed -. t_base))
-          in
-          run_speedups := run_x :: !run_speedups;
-          overhead_speedups := overhead_x :: !overhead_speedups;
-          Fmt.pr "%-16s %8d %12.2f %12.2f %12.2f %10.2f %12.2f@." micro.m_name size
-            (t_base *. 1e3) (t_boxed *. 1e3) (t_packed *. 1e3) run_x overhead_x;
-          tsv "fig10a\t%s\t%d\trun_speedup\t%.3f" micro.m_name size run_x;
-          tsv "fig10a\t%s\t%d\toverhead_speedup\t%.3f" micro.m_name size overhead_x)
-        [ 64; 512; 4096 ])
-    subset;
-  let geo l = Stats.geomean (Array.of_list l) in
-  let run_geo = geo !run_speedups and overhead_geo = geo !overhead_speedups in
-  Fmt.pr "@.geomean: whole-run %.2fx, checking-overhead %.2fx (packed over boxed)@." run_geo
-    overhead_geo;
-  tsv "fig10a\tgeomean\t-\trun_speedup\t%.3f" run_geo;
-  tsv "fig10a\tgeomean\t-\toverhead_speedup\t%.3f" overhead_geo;
-  (* 4. Worker scaling: does the packed advantage survive hand-off? *)
-  Fmt.pr "@.worker scaling (C-Tree, 512 B values):@.@.";
-  Fmt.pr "%-10s %12s %12s %10s@." "workers" "boxed(ms)" "packed(ms)" "speedup";
-  let ctree = List.find (fun m -> m.m_name = "C-Tree") micros in
-  List.iter
-    (fun w ->
-      let t_boxed =
-        micro_time (if w = 0 then `Pmtest_sync else `Pmtest w) ctree ~size:512 ~n:!insertions
-      in
-      let t_packed = micro_time (`Pmtest_packed w) ctree ~size:512 ~n:!insertions in
-      Fmt.pr "%-10d %12.2f %12.2f %9.2fx@." w (t_boxed *. 1e3) (t_packed *. 1e3)
-        (ratio t_boxed t_packed);
-      tsv "scaling\tC-Tree\t%d\trun_speedup\t%.3f" w (ratio t_boxed t_packed))
-    [ 0; 2; 4 ];
-  Fmt.pr
-    "@.(the packed path removes one heap block per traced event and replaces the@.";
-  Fmt.pr
-    " persistent-tree shadow with a page-indexed mutable one; the verdicts are@.";
-  Fmt.pr " pinned identical by test_packed and the engine/packed fuzz contract)@.";
-  (* The gate pins the representation-owned metrics (codec emit, engine
-     check): the whole-run numbers are dominated by the shared workload +
-     engine cost and swing +-10% with machine noise on small sections, so
-     they are reported but not gated. *)
+  Fmt.pr "@.(verdicts are pinned identical by test_packed and the engine/packed fuzz@.";
+  Fmt.pr " contract)@.";
   let rep_geo = sqrt (codec_speedup *. engine_speedup) in
   tsv "gate\trepresentation\t-\tgeomean_speedup\t%.3f" rep_geo;
   if !gate && rep_geo < 1.0 then begin

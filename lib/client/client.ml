@@ -158,11 +158,12 @@ let close t =
 
 (* --- Remote tracing session ---------------------------------------------- *)
 
-(* Mirrors [Pmtest]'s session logic — per-thread packed builders, a live
+(* Mirrors [Pmtest]'s session logic — a section per thread, a live
    exclusion scope whose preamble is announced ahead of each section —
    so a workload attached to a daemon earns byte-for-byte the report an
-   in-process [Pmtest] session over the same events would.  The one
-   difference is where the preamble travels: as a [Prelude] frame
+   in-process [Pmtest] session over the same events would.  Two things
+   differ: each thread's section is encoded straight into a packed arena
+   (the wire form), and the preamble travels as a [Prelude] frame
    (deduplicated by {!sync_prelude}) instead of a boxed prefix. *)
 module Session = struct
   type nonrec conn = t
@@ -170,7 +171,9 @@ module Session = struct
   type t = {
     conn : conn;
     obs : Obs.t;
-    builders : (int, Builder.t) Hashtbl.t;
+    (* The thread's open section; [send_trace] swaps in a fresh arena,
+       so sinks hold the cell, never the arena. *)
+    arenas : (int, Packed.t ref) Hashtbl.t;
     mutex : Mutex.t;
     mutable excluded : unit Interval_map.t;
     mutable error : string option;
@@ -181,59 +184,53 @@ module Session = struct
       {
         conn;
         obs;
-        builders = Hashtbl.create 8;
+        arenas = Hashtbl.create 8;
         mutex = Mutex.create ();
         excluded = Interval_map.empty;
         error = None;
       }
     in
-    Hashtbl.replace s.builders 0 (Builder.create ~thread:0 ~packed:true ~obs ());
+    Hashtbl.replace s.arenas 0 (ref (Packed.alloc ~obs ()));
     s
 
   let with_lock s f =
     Mutex.lock s.mutex;
     Fun.protect ~finally:(fun () -> Mutex.unlock s.mutex) f
 
-  let builder s thread =
+  let arena s thread =
     with_lock s (fun () ->
-        match Hashtbl.find_opt s.builders thread with
-        | Some b -> b
+        match Hashtbl.find_opt s.arenas thread with
+        | Some r -> r
         | None ->
-          let b = Builder.create ~thread ~packed:true ~obs:s.obs () in
-          Hashtbl.replace s.builders thread b;
-          b)
+          let r = ref (Packed.alloc ~obs:s.obs ()) in
+          Hashtbl.replace s.arenas thread r;
+          r)
 
-  let sink ?(thread = 0) s = Sink.observed s.obs (Builder.sink (builder s thread))
+  let sink ?(thread = 0) s =
+    let r = arena s thread in
+    Sink.observed s.obs { Sink.emit = (fun kind loc -> Packed.push !r ~thread kind loc) }
 
   let emit ?(thread = 0) ?(loc = Loc.none) s kind =
     if Obs.enabled s.obs then Obs.event_traced s.obs;
-    Builder.emit (builder s thread) kind loc
+    Packed.push !(arena s thread) ~thread kind loc
 
   let note_error s = function
     | Ok () -> ()
     | Error msg -> with_lock s (fun () -> if s.error = None then s.error <- Some msg)
 
   let send_trace ?(thread = 0) s =
-    let b = builder s thread in
-    let p = Builder.take_packed b in
-    if Packed.count p = 0 then begin
-      Packed.free p;
+    let r = arena s thread in
+    if Packed.count !r = 0 then begin
       if Obs.enabled s.obs then Obs.section_dropped s.obs
     end
     else begin
+      let p = !r in
+      r := Packed.alloc ~obs:s.obs ();
       (* Preamble reflects the scope {e before} this section's own
          controls — same order of operations as [Pmtest.send_trace]. *)
       let preamble =
         with_lock s (fun () ->
-            let preamble =
-              List.rev
-                (Interval_map.fold
-                   (fun lo hi () acc ->
-                     Event.make ~thread
-                       (Event.Control (Event.Exclude { addr = lo; size = hi - lo }))
-                     :: acc)
-                   s.excluded [])
-            in
+            let preamble = Pmtest_core.Pmtest.exclusion_preamble ~thread s.excluded in
             if Packed.has_scope_controls p then
               Packed.iter p (fun (v : Packed.view) ->
                   match v.Packed.tag with
@@ -246,11 +243,11 @@ module Session = struct
                   | _ -> ());
             preamble)
       in
-      note_error s (send_packed ~prelude:(Array.of_list preamble) s.conn p)
+      note_error s (send_packed ~prelude:preamble s.conn p)
     end
 
   let finish s =
-    let threads = with_lock s (fun () -> Hashtbl.fold (fun k _ acc -> k :: acc) s.builders []) in
+    let threads = with_lock s (fun () -> Hashtbl.fold (fun k _ acc -> k :: acc) s.arenas []) in
     List.iter (fun thread -> send_trace ~thread s) threads;
     match with_lock s (fun () -> s.error) with
     | Some msg -> Error msg

@@ -59,7 +59,7 @@ val close : t -> unit
 (** Send [Bye] (best effort) and close the socket. *)
 
 (** A full tracing session against a remote daemon — the [attach]-side
-    mirror of {!Pmtest_core.Pmtest}: per-thread packed builders, live
+    mirror of {!Pmtest_core.Pmtest}: a packed arena per thread, live
     exclusion scope, preamble announced before each section.  Transport
     errors are latched and reported by [finish]. *)
 module Session : sig

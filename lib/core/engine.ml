@@ -17,12 +17,13 @@ type range_status = { lo : int; hi : int; persist : Interval.t; flush : Interval
 type snapshot = { timestamp : int; ranges : range_status list }
 
 (* The checking core is written once against this shadow-memory
-   signature and instantiated twice: the boxed path over the persistent
-   {!Interval_map} (cheap snapshots, the historical representation) and
-   the packed fast path over the mutable page-indexed {!Page_map}.  Both
-   maps have identical observable semantics — same splitting, same
-   non-merging of adjacent equal values — so the two engines produce
-   byte-identical reports (pinned by the packed-vs-boxed fuzz pair). *)
+   signature and instantiated twice: the boxed path (in-process
+   sessions) over the persistent {!Interval_map} (cheap snapshots) and
+   the packed path (the [pmtestd] daemon) over the mutable page-indexed
+   {!Page_map}.  Both maps have identical observable semantics — same
+   splitting, same non-merging of adjacent equal values — so the two
+   engines produce byte-identical reports (pinned by the packed-vs-boxed
+   fuzz pair). *)
 module type SHADOW = sig
   type t
 
@@ -74,6 +75,10 @@ let effective_subranges ~excluded ~addr ~size =
       gap @ walk (max cursor h) rest
   in
   walk lo holes
+
+(* Constructor probes for [Model.valid_op] on the packed path. *)
+let write_probe = Model.Write { addr = 0; size = 0 }
+let clwb_probe = Model.Clwb { addr = 0; size = 0 }
 
 (* A diagnostic is recorded as kind/loc plus a rendering thunk; the
    message string is only materialised when the report is built, so the
@@ -301,15 +306,16 @@ module Core (S : SHADOW) = struct
         Format.asprintf "writeback of [0x%x,+%d) is redundant under eADR (caches are \
                          persistent)" addr size)
 
+  let on_valid_clwb st loc ~addr ~size =
+    if st.model = Model.Eadr then eadr_clwb st loc ~addr ~size else on_clwb st loc ~addr ~size
+
   let on_op st loc op =
     st.ops <- st.ops + 1;
     if not (Model.valid_op st.model op) then invalid_op st loc op
     else begin
       match op with
       | Model.Write { addr; size } -> on_write st loc ~addr ~size
-      | Model.Clwb { addr; size } ->
-        if st.model = Model.Eadr then eadr_clwb st loc ~addr ~size
-        else on_clwb st loc ~addr ~size
+      | Model.Clwb { addr; size } -> on_valid_clwb st loc ~addr ~size
       | Model.Sfence -> if st.model <> Model.Eadr then st.now <- st.now + 1
       | Model.Ofence -> st.now <- st.now + 1
       | Model.Dfence | Model.Gpf ->
@@ -355,44 +361,29 @@ module Core (S : SHADOW) = struct
     end
 
   (* Packed dispatch: same transitions as [on_entry], decoded straight
-     from the cursor view.  Op validity mirrors [Model.valid_op] without
-     building an op value; the boxed value is only constructed on the
-     (diagnosed, rare) invalid path. *)
+     from the cursor view.  Fences are constant constructors, so they go
+     through [on_op] as is; the two ranged ops ask [Model.valid_op]
+     about a constant probe of their constructor (validity ignores the
+     range) and build the real op value only on the (diagnosed, rare)
+     invalid path — the cursor path allocates nothing. *)
   let on_view st (v : Packed.view) =
     st.entries <- st.entries + 1;
     let loc = v.Packed.loc in
     match v.Packed.tag with
     | Packed.T_write ->
       st.ops <- st.ops + 1;
-      (* Write is valid under every model. *)
-      on_write st loc ~addr:v.Packed.a ~size:v.Packed.b
+      if not (Model.valid_op st.model write_probe) then
+        invalid_op st loc (Model.Write { addr = v.Packed.a; size = v.Packed.b })
+      else on_write st loc ~addr:v.Packed.a ~size:v.Packed.b
     | Packed.T_clwb ->
       st.ops <- st.ops + 1;
-      if st.model = Model.Hops || st.model = Model.Cxl then
+      if not (Model.valid_op st.model clwb_probe) then
         invalid_op st loc (Model.Clwb { addr = v.Packed.a; size = v.Packed.b })
-      else if st.model = Model.Eadr then eadr_clwb st loc ~addr:v.Packed.a ~size:v.Packed.b
-      else on_clwb st loc ~addr:v.Packed.a ~size:v.Packed.b
-    | Packed.T_sfence ->
-      st.ops <- st.ops + 1;
-      if st.model = Model.Hops || st.model = Model.Cxl then invalid_op st loc Model.Sfence
-      else if st.model <> Model.Eadr then st.now <- st.now + 1
-    | Packed.T_ofence ->
-      st.ops <- st.ops + 1;
-      if st.model <> Model.Hops then invalid_op st loc Model.Ofence else st.now <- st.now + 1
-    | Packed.T_dfence ->
-      st.ops <- st.ops + 1;
-      if st.model <> Model.Hops then invalid_op st loc Model.Dfence
-      else begin
-        st.now <- st.now + 1;
-        Vec.push st.dfence_times st.now
-      end
-    | Packed.T_gpf ->
-      st.ops <- st.ops + 1;
-      if st.model <> Model.Cxl then invalid_op st loc Model.Gpf
-      else begin
-        st.now <- st.now + 1;
-        Vec.push st.dfence_times st.now
-      end
+      else on_valid_clwb st loc ~addr:v.Packed.a ~size:v.Packed.b
+    | Packed.T_sfence -> on_op st loc Model.Sfence
+    | Packed.T_ofence -> on_op st loc Model.Ofence
+    | Packed.T_dfence -> on_op st loc Model.Dfence
+    | Packed.T_gpf -> on_op st loc Model.Gpf
     | Packed.T_is_persist ->
       st.checkers <- st.checkers + 1;
       on_is_persist st loc ~addr:v.Packed.a ~size:v.Packed.b

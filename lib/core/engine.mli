@@ -31,10 +31,11 @@ val check : ?obs:Pmtest_obs.Obs.t -> ?model:Model.kind -> Event.t array -> Repor
 
 val check_packed :
   ?obs:Pmtest_obs.Obs.t -> ?model:Model.kind -> ?prelude:Event.t array -> Packed.t -> Report.t
-(** The flat fast path: walk a packed arena with a cursor — no
+(** The daemon's checker: walk a packed arena with a cursor — no
     [Event.t array] is materialised — over the mutable page-indexed
     shadow memory.  [prelude] (default empty) is a boxed event prefix
-    replayed before the arena — the session's exclusion preamble — so
+    replayed before the arena — the client session's exclusion
+    preamble — so
     the report equals {!check} on [Array.append prelude (to_events p)].
     Produces a report byte-identical to {!check} on the boxed decoding
     of the same arena (pinned by the packed-vs-boxed fuzz contract and

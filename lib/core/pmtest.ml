@@ -8,7 +8,6 @@ module Obs = Pmtest_obs.Obs
 type t = {
   runtime : Runtime.t;
   obs : Obs.t;
-  packed : bool;
   builders : (int, Builder.t) Hashtbl.t;
   vars : (string, int * int) Hashtbl.t;
   mutex : Mutex.t;
@@ -22,12 +21,11 @@ type t = {
   mutable observers : (Event.t array -> unit) list;
 }
 
-let init ?(model = Model.X86) ?(workers = 1) ?(obs = Obs.disabled) ?(packed = false) () =
+let init ?(model = Model.X86) ?(workers = 1) ?(obs = Obs.disabled) () =
   let t =
     {
       runtime = Runtime.create ~workers ~model ~obs ();
       obs;
-      packed;
       builders = Hashtbl.create 8;
       vars = Hashtbl.create 16;
       mutex = Mutex.create ();
@@ -36,13 +34,12 @@ let init ?(model = Model.X86) ?(workers = 1) ?(obs = Obs.disabled) ?(packed = fa
       observers = [];
     }
   in
-  Hashtbl.replace t.builders 0 (Builder.create ~thread:0 ~packed ~obs ());
+  Hashtbl.replace t.builders 0 (Builder.create ~thread:0 ());
   t
 
 let model t = Runtime.model t.runtime
 let worker_count t = Runtime.worker_count t.runtime
 let obs t = t.obs
-let packed t = t.packed
 
 let with_lock t f =
   Mutex.lock t.mutex;
@@ -53,7 +50,7 @@ let builder t thread =
       match Hashtbl.find_opt t.builders thread with
       | Some b -> b
       | None ->
-        let b = Builder.create ~thread ~packed:t.packed ~obs:t.obs () in
+        let b = Builder.create ~thread () in
         Builder.set_enabled b t.tracking;
         Hashtbl.replace t.builders thread b;
         b)
@@ -103,84 +100,33 @@ let note_control t = function
     t.excluded <- Interval_map.clear t.excluded ~lo:addr ~hi:(addr + size)
   | Event.Lint_off _ | Event.Lint_on _ -> ()
 
-let send_boxed t section ~preamble =
-  let section =
-    if preamble = [] then section else Array.append (Array.of_list preamble) section
-  in
-  List.iter (fun f -> f section) t.observers;
-  Runtime.send_trace t.runtime section
-
-(* The exclusion preamble plus the live-scope update, shared by both
-   representations. Returns (preamble, observers are present). *)
-let section_prologue t ~thread ~note =
-  with_lock t (fun () ->
-      let preamble =
-        List.rev
-          (Interval_map.fold
-             (fun lo hi () acc ->
-               Event.make ~thread (Event.Control (Event.Exclude { addr = lo; size = hi - lo }))
-               :: acc)
-             t.excluded [])
-      in
-      (* Update the live exclusion set from this section's controls so
-         the next section starts from the right scope. *)
-      note ();
-      (preamble, t.observers <> []))
+let exclusion_preamble ~thread excluded =
+  Array.of_list
+    (List.rev
+       (Interval_map.fold
+          (fun lo hi () acc ->
+            Event.make ~thread (Event.Control (Event.Exclude { addr = lo; size = hi - lo })) :: acc)
+          excluded []))
 
 let send_trace ?(thread = 0) t =
-  let b = builder t thread in
-  if Builder.is_packed b then begin
-    let p = Builder.take_packed b in
-    if Packed.count p > 0 then begin
-      let note () =
-        (* Only decode the section looking for scope controls when the
-           builder actually recorded one — the common fast path skips
-           the scan entirely. *)
-        if Packed.has_scope_controls p then
-          Packed.iter p (fun (v : Packed.view) ->
-              match v.Packed.tag with
-              | Packed.T_exclude ->
-                t.excluded <-
-                  Interval_map.set t.excluded ~lo:v.Packed.a ~hi:(v.Packed.a + v.Packed.b) ()
-              | Packed.T_include ->
-                t.excluded <-
-                  Interval_map.clear t.excluded ~lo:v.Packed.a ~hi:(v.Packed.a + v.Packed.b)
-              | _ -> ())
-      in
-      let preamble, have_observers = section_prologue t ~thread ~note in
-      if not have_observers then
-        (* An active exclusion scope rides along as a boxed prelude —
-           the arena itself is never decoded. *)
-        Runtime.send_packed t.runtime
-          ~prelude:(if preamble = [] then [||] else Array.of_list preamble)
-          p
-      else begin
-        (* Observers want the boxed shape; decode once and recycle the
-           arena. *)
-        let section = Packed.to_events p in
-        Packed.free p;
-        send_boxed t section ~preamble
-      end
-    end
-    else begin
-      Packed.free p;
-      if Obs.enabled t.obs then Obs.section_dropped t.obs
-    end
+  let section = Builder.take (builder t thread) in
+  if Array.length section > 0 then begin
+    let preamble, observers =
+      with_lock t (fun () ->
+          let preamble = exclusion_preamble ~thread t.excluded in
+          (* Update the live exclusion set from this section's controls so
+             the next section starts from the right scope. *)
+          Array.iter
+            (fun (e : Event.t) ->
+              match e.Event.kind with Event.Control c -> note_control t c | _ -> ())
+            section;
+          (preamble, t.observers))
+    in
+    let section = if Array.length preamble = 0 then section else Array.append preamble section in
+    List.iter (fun f -> f section) observers;
+    Runtime.send_trace t.runtime section
   end
-  else begin
-    let section = Builder.take b in
-    if Array.length section > 0 then begin
-      let preamble, _ =
-        section_prologue t ~thread ~note:(fun () ->
-            Array.iter
-              (fun (e : Event.t) ->
-                match e.Event.kind with Event.Control c -> note_control t c | _ -> ())
-              section)
-      in
-      send_boxed t section ~preamble
-    end
-    else if Obs.enabled t.obs then Obs.section_dropped t.obs
-  end
+  else if Obs.enabled t.obs then Obs.section_dropped t.obs
 
 let get_result t = Runtime.get_result t.runtime
 let section_length ?(thread = 0) t = Builder.length (builder t thread)

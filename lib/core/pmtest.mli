@@ -26,24 +26,19 @@ open Pmtest_trace
 
 type t
 
-val init : ?model:Model.kind -> ?workers:int -> ?obs:Pmtest_obs.Obs.t -> ?packed:bool -> unit -> t
+val init : ?model:Model.kind -> ?workers:int -> ?obs:Pmtest_obs.Obs.t -> unit -> t
 (** Create a session. [workers] is the size of the checking pool
     (default 1; [0] checks synchronously inside [send_trace]). [obs]
     (default {!Pmtest_obs.Obs.disabled}) observes the whole pipeline:
     entries traced, sections sent/dropped, and — through the runtime —
     dispatch/check/merge spans and worker utilization.
 
-    [packed] (default false) selects the flat-trace fast path: builders
-    encode into reusable {!Pmtest_trace.Packed} arenas and sections are
-    handed to the runtime without materialising an [Event.t array]. The
-    verdict is identical either way; sections that carry an exclusion
-    preamble or feed {!on_section} observers fall back to the boxed
-    shape transparently. *)
+    Each thread's section is built as boxed [Event.t] entries (see
+    {!Pmtest_trace.Builder}) and checked with [Engine.check]. Packed
+    arenas are the wire representation of the [pmtestd] client, not an
+    in-process option. *)
 
 val obs : t -> Pmtest_obs.Obs.t
-
-val packed : t -> bool
-(** Whether this session uses the packed fast path. *)
 
 val finish : t -> Report.t
 (** Send any unfinished sections, drain the workers, shut the runtime
@@ -97,8 +92,16 @@ val get_var : t -> string -> (int * int) option
 (** {1 Communication} *)
 
 val send_trace : ?thread:int -> t -> unit
-(** Hand the thread's current section to the checking pool and start a
-    fresh one. *)
+(** Hand the thread's current section, headed by the exclusion preamble
+    ({!exclusion_preamble} of the scope before the section), to the
+    checking pool and start a fresh one. *)
+
+val exclusion_preamble : thread:int -> unit Pmtest_itree.Interval_map.t -> Event.t array
+(** One [Exclude] control per range of the live exclusion set, in
+    address order. The engine checks each section independently, so a
+    session re-announces its scope ahead of every section; the
+    [pmtestd] client sends the same events as its [Prelude] frame, which
+    keeps daemon reports byte-identical to in-process ones. *)
 
 val get_result : t -> Report.t
 (** Block until everything sent so far has been checked. Does {e not}

@@ -2,11 +2,11 @@ open Pmtest_model
 open Pmtest_trace
 module Obs = Pmtest_obs.Obs
 
-(* A section travels either boxed (the historical Event.t array) or as a
-   packed arena that the worker checks with the cursor engine and then
-   recycles to the freelist.  A packed section may carry a small boxed
-   prelude — the session's exclusion preamble — replayed before the
-   arena so active scopes never force the decode-to-boxed fallback. *)
+(* A section travels either boxed (an in-process session's Event.t
+   array) or as a packed arena (a [pmtestd] client's section) that the
+   worker checks with the cursor engine and then recycles to the
+   freelist.  A packed section may carry a small boxed prelude — the
+   client session's exclusion preamble — replayed before the arena. *)
 type section = Boxed of Event.t array | Packed of { p : Packed.t; prelude : Event.t array }
 
 (* [model] overrides the runtime's default for this section (the daemon
@@ -264,8 +264,8 @@ let send_section t task =
 
 let send_trace t entries = send_section t { payload = Boxed entries; model = t.model; k = None }
 
-let send_packed ?(prelude = [||]) t p =
-  send_section t { payload = Packed { p; prelude }; model = t.model; k = None }
+let send_packed t p =
+  send_section t { payload = Packed { p; prelude = [||] }; model = t.model; k = None }
 
 let send_packed_cb ?model ?(prelude = [||]) t p k =
   let model = Option.value model ~default:t.model in

@@ -49,21 +49,20 @@ val send_trace : t -> Event.t array -> unit
     path, so tracing threads never contend with the merge side or with
     each other. *)
 
-val send_packed : ?prelude:Event.t array -> t -> Packed.t -> unit
+val send_packed : t -> Packed.t -> unit
 (** Like {!send_trace} for a packed arena: the worker checks it with
     [Engine.check_packed] (no [Event.t array] is materialised) and then
-    recycles the arena to the freelist. [prelude] (default empty) is a
-    boxed prefix — the session's exclusion preamble — replayed before
-    the arena, so sessions with active exclusion scopes stay on the
-    packed path. Ownership transfers to the runtime — the caller must
-    not touch the arena afterwards. *)
+    recycles the arena to the freelist. Ownership transfers to the
+    runtime — the caller must not touch the arena afterwards. *)
 
 val send_packed_cb :
   ?model:Model.kind -> ?prelude:Event.t array -> t -> Packed.t -> (Report.t -> unit) -> unit
 (** Like {!send_packed}, but the section's report is handed to the
     callback instead of entering the global aggregate — the building
     block for per-session aggregation in [pmtestd], where one worker
-    pool serves many independent client sessions. Callbacks fire in
+    pool serves many independent client sessions. [prelude] (default
+    empty) is a boxed prefix — the client session's exclusion
+    preamble — replayed before the arena. Callbacks fire in
     dispatch order (from inside the in-order merge loop), so a consumer
     that merges callback reports as they arrive reproduces exactly the
     aggregate a dedicated synchronous runtime would have produced. The

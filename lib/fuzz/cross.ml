@@ -356,7 +356,7 @@ let report_key r =
 
 let vs_serve (p : Gen.program) =
   let local =
-    let s = Pmtest.init ~model:p.Gen.model ~workers:0 ~packed:true () in
+    let s = Pmtest.init ~model:p.Gen.model ~workers:0 () in
     drive_session p
       ~emit:(fun (e : Event.t) -> Pmtest.emit ~thread:e.Event.thread ~loc:e.Event.loc s e.Event.kind)
       ~flush:(fun thread -> Pmtest.send_trace ~thread s);

@@ -35,17 +35,19 @@
     - {b engine/packed}: on every trace, checking the packed encoding
       with [Engine.check_packed] must produce a report identical to the
       boxed [Engine.check] — same diagnostic (kind, loc, message)
-      sequence and same entry/op/checker counts. This pins the flat
-      fast path (codec + cursor dispatch + page-indexed shadow) to the
+      sequence and same entry/op/checker counts. This pins the daemon's
+      checker (codec + cursor dispatch + page-indexed shadow) to the
       boxed reference semantics.
     - {b engine/serve}: on every trace and model, driving the program
       through a fresh session on a shared in-process [pmtestd] daemon
       (sections over the framed wire protocol, exclusion preambles as
       [Prelude] frames) must yield a report identical — diagnostics
       (kind, loc, message) and entry/op/checker counts — to an
-      in-process packed session flushing at the same boundaries. This
-      pins the whole service stack: wire codecs, per-session
-      aggregation callbacks, prelude deduplication. The daemon is
+      in-process (boxed) session flushing at the same boundaries. This
+      pins the whole service stack — wire codecs, per-session
+      aggregation callbacks, prelude deduplication — and, with it, the
+      packed client/daemon representation against the boxed in-process
+      one. The daemon is
       started lazily on a temp socket and drained at process exit.
     - {b engine/repair}: applies to {e every} program on every model —
       the only pair that never skips. [Repair.fixpoint] must converge

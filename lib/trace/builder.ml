@@ -1,48 +1,14 @@
 open Pmtest_util
-module Obs = Pmtest_obs.Obs
 
-type store = Boxed of Event.t Vec.t | Arena of { mutable arena : Packed.t }
+type t = { thread : int; buf : Event.t Vec.t; mutable enabled : bool }
 
-type t = { thread : int; store : store; obs : Obs.t; mutable enabled : bool }
-
-let create ?(thread = 0) ?(packed = false) ?(obs = Obs.disabled) () =
-  let store =
-    if packed then Arena { arena = Packed.alloc ~obs () } else Boxed (Vec.create ())
-  in
-  { thread; store; obs; enabled = true }
-
+let create ?(thread = 0) () = { thread; buf = Vec.create (); enabled = true }
 let thread t = t.thread
-let is_packed t = match t.store with Arena _ -> true | Boxed _ -> false
 let enabled t = t.enabled
 let set_enabled t b = t.enabled <- b
 
-let emit t kind loc =
-  if t.enabled then
-    match t.store with
-    | Boxed buf -> Vec.push buf { Event.kind; loc; thread = t.thread }
-    | Arena a -> Packed.push a.arena ~thread:t.thread kind loc
+let emit t kind loc = if t.enabled then Vec.push t.buf { Event.kind; loc; thread = t.thread }
 
-let length t =
-  match t.store with Boxed buf -> Vec.length buf | Arena a -> Packed.count a.arena
-
-let take t =
-  match t.store with
-  | Boxed buf -> Vec.take_all buf
-  | Arena a ->
-    let evs = Packed.to_events a.arena in
-    Packed.reset a.arena;
-    evs
-
-let take_packed t =
-  match t.store with
-  | Arena a ->
-    let p = a.arena in
-    a.arena <- Packed.alloc ~obs:t.obs ();
-    p
-  | Boxed buf ->
-    let p = Packed.alloc ~obs:t.obs () in
-    Vec.iter (Packed.push_event p) buf;
-    Vec.clear buf;
-    p
-
+let length t = Vec.length t.buf
+let take t = Vec.take_all t.buf
 let sink t = { Sink.emit = (fun kind loc -> emit t kind loc) }

@@ -1,29 +1,23 @@
 (** Per-thread trace accumulation (paper §4.3, §4.5).
 
     Each program thread owns a builder; entries are appended in program
-    order. [PMTest_SEND_TRACE] corresponds to {!take} (or
-    {!take_packed}): the accumulated section is handed off (to a worker
-    thread) and a fresh section starts.  Tracking can be toggled
-    ([PMTest_START] / [PMTest_END]) — while disabled, entries are
-    dropped at the door.
+    order. [PMTest_SEND_TRACE] corresponds to {!take}: the accumulated
+    section is handed off (to a worker thread) and a fresh section starts.
+    Tracking can be toggled ([PMTest_START] / [PMTest_END]) — while
+    disabled, entries are dropped at the door.
 
-    A builder created with [~packed:true] encodes straight into a
-    {!Packed} arena: the per-event cost is byte stores into a reused
-    buffer instead of one heap block per entry, and {!take_packed} hands
-    the arena off whole. Either representation converts to the other on
-    demand, so both [take] and [take_packed] work on every builder. *)
+    A builder holds boxed [Event.t] entries, the in-process session's one
+    trace representation. Code that ships sections across a process
+    boundary (the [pmtestd] client) encodes into {!Packed} arenas
+    instead. *)
 
 open Pmtest_util
 
 type t
 
-val create : ?thread:int -> ?packed:bool -> ?obs:Pmtest_obs.Obs.t -> unit -> t
-(** [packed] (default false) selects the packed-arena store. [obs]
-    (default disabled) accounts arena freelist traffic. *)
+val create : ?thread:int -> unit -> t
 
 val thread : t -> int
-
-val is_packed : t -> bool
 
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit
@@ -35,13 +29,7 @@ val length : t -> int
 (** Entries accumulated in the current section. *)
 
 val take : t -> Event.t array
-(** Current section as an array; the builder restarts empty. On a packed
-    builder this decodes the arena (boxed interop path). *)
-
-val take_packed : t -> Packed.t
-(** Current section as a packed arena; the builder restarts empty with a
-    fresh arena from the freelist. Ownership of the returned arena moves
-    to the caller. On a boxed builder this encodes the pending events. *)
+(** Current section as an array; the builder restarts empty. *)
 
 val sink : t -> Sink.t
 (** The builder viewed as an instrumentation sink. *)

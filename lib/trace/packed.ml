@@ -172,25 +172,6 @@ let hdr t code ~thread lid =
 
 let fin t = t.count <- t.count + 1
 
-let push_write t ~thread ~addr ~size loc =
-  hdr t 0 ~thread (intern t loc);
-  put_varint_unsafe t addr;
-  put_varint_unsafe t size;
-  fin t
-
-let push_clwb t ~thread ~addr ~size loc =
-  hdr t 1 ~thread (intern t loc);
-  put_varint_unsafe t addr;
-  put_varint_unsafe t size;
-  fin t
-
-let push_fence t ~thread op loc =
-  let code =
-    match op with Model.Sfence -> 2 | Model.Ofence -> 3 | Model.Gpf -> 17 | _ -> 4
-  in
-  hdr t code ~thread (intern t loc);
-  fin t
-
 let put_rule t rule =
   put_varint_unsafe t (String.length rule);
   ensure t (String.length rule);

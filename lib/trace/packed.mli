@@ -1,28 +1,22 @@
-(** Packed trace arenas: the flat, allocation-free twin of
+(** Packed trace arenas: the flat, allocation-free wire form of
     [Event.t array] sections.
 
-    A builder encodes events into one growable byte buffer (1-byte tag +
-    zigzag-LEB128 varints, locations interned per arena), the runtime
-    hands whole arenas to workers, and [Engine.check_packed] walks them
-    with a cursor — no [Event.t] is ever materialised on the fast path.
-    The boxed representation stays available through {!to_events} /
+    The [pmtestd] client encodes each section into one growable byte
+    buffer (1-byte tag + zigzag-LEB128 varints, locations interned per
+    arena), the daemon decodes frames back into arenas, and
+    [Engine.check_packed] walks them with a cursor — no [Event.t] is
+    materialised on the daemon's checking path.  In-process sessions
+    trace boxed (see [Builder]).  The two convert through {!to_events} /
     {!of_events}, and the packed↔boxed round trip is exact (pinned by
     test_packed and the fuzz packed-vs-boxed contract).
 
     An arena has a single internal read cursor, so concurrent decodes of
     the {e same} arena are not supported; arenas are owned by exactly one
-    builder or worker at a time. *)
+    client session or worker at a time. *)
 
 open Pmtest_util
-module Model = Pmtest_model.Model
 
 type t
-
-val create : ?capacity:int -> unit -> t
-(** Fresh arena with [capacity] bytes pre-reserved (default 256). *)
-
-val reset : t -> unit
-(** Forget all contents (buffer retained for reuse). *)
 
 val count : t -> int
 (** Events encoded. *)
@@ -38,14 +32,6 @@ val has_scope_controls : t -> bool
 (** {1 Encoding} *)
 
 val push : t -> thread:int -> Event.kind -> Loc.t -> unit
-
-val push_event : t -> Event.t -> unit
-
-val push_write : t -> thread:int -> addr:int -> size:int -> Loc.t -> unit
-val push_clwb : t -> thread:int -> addr:int -> size:int -> Loc.t -> unit
-
-val push_fence : t -> thread:int -> Model.op -> Loc.t -> unit
-(** [op] must be [Sfence], [Ofence], [Dfence] or [Gpf]. *)
 
 val of_events : Event.t array -> t
 
@@ -98,8 +84,6 @@ val read : t -> pos:int -> view -> int
 
 val iter : t -> (view -> unit) -> unit
 
-val kind_of_view : view -> Event.kind
-val event_of_view : view -> Event.t
 val to_events : t -> Event.t array
 
 (** {1 Checked decoding and the wire form}
@@ -116,17 +100,6 @@ type decode_error = { offset : int; reason : string }
 
 val decode_error_to_string : decode_error -> string
 
-val read_checked : t -> pos:int -> view -> (int, decode_error) result
-(** Like {!read} but every access is bounds-checked: a truncated or
-    garbage tag, an overlong or unterminated varint, an out-of-range
-    location id or an overrunning rule string yields [Error] with the
-    byte offset of the malformed field. Does not disturb the internal
-    cursor. *)
-
-val validate : t -> (unit, decode_error) result
-(** Walk the whole arena with {!read_checked}; also verifies the event
-    count matches the encoded header. *)
-
 val encode_wire : t -> string
 (** Self-contained byte form: the arena's loc intern table followed by
     the event bytes, suitable for framing onto a socket.  Unlike the raw
@@ -136,10 +109,10 @@ type pool
 (** An arena freelist (see the {e Arena freelists} section below). *)
 
 val decode_wire : ?obs:Pmtest_obs.Obs.t -> ?pool:pool -> string -> (t, decode_error) result
-(** Inverse of {!encode_wire}, fully validated ({!validate} has run, the
-    loc table is in bounds, nothing trails the event bytes).  The
-    resulting arena is safe to hand to the unchecked cursor / the
-    engine.  With [pool] the arena is drawn from (and its buffer reused
+(** Inverse of {!encode_wire}, fully validated (every tag, varint, rule
+    string and location id is checked, the event count matches the
+    header, nothing trails the event bytes).  The resulting arena is
+    safe to hand to the unchecked cursor / the engine.  With [pool] the arena is drawn from (and its buffer reused
     out of) that freelist instead of freshly allocated — free it back to
     the {e same} pool. *)
 

@@ -1,13 +1,13 @@
 (* The packed trace codec and the flat checking path: round trips across
    all wire tags, decode identity on the regression corpus, report
-   equality between Engine.check and Engine.check_packed, arena freelist
-   behavior, and the packed session end to end. *)
+   equality between Engine.check and Engine.check_packed, and arena
+   freelist behavior.  The packed client session end to end is covered
+   by test_serve. *)
 
 open Pmtest_model
 open Pmtest_trace
 module Engine = Pmtest_core.Engine
 module Report = Pmtest_core.Report
-module Pmtest = Pmtest_core.Pmtest
 module Repro = Pmtest_fuzz.Repro
 module Gen = Pmtest_fuzz.Gen
 module Obs = Pmtest_obs.Obs
@@ -188,7 +188,7 @@ let test_corpus_reports_identical () =
 let test_freelist_recycles () =
   let obs = Obs.create () in
   let a = Packed.alloc ~obs () in
-  Packed.push_write a ~thread:0 ~addr:0 ~size:8 Loc.none;
+  Packed.push a ~thread:0 (Event.Op (Model.Write { addr = 0; size = 8 })) Loc.none;
   Packed.free a;
   let b = Packed.alloc ~obs () in
   Alcotest.(check bool) "recycled arena is empty" true (Packed.is_empty b);
@@ -253,57 +253,6 @@ let test_wire_corrupted_tag () =
     Bytes.set b pos orig
   done
 
-let check_session ~packed ~workers () =
-  let t = Pmtest.init ~model:Model.X86 ~workers ~packed () in
-  (* Two sections with an exclusion scope crossing the boundary, checkers
-     on both sides — exercises the preamble fallback and the fast path. *)
-  Pmtest.emit t (Event.Op (Model.Write { addr = 0x00; size = 8 }));
-  Pmtest.emit t (Event.Op (Model.Clwb { addr = 0x00; size = 8 }));
-  Pmtest.emit t (Event.Op Model.Sfence);
-  Pmtest.is_persist t ~addr:0x00 ~size:8;
-  Pmtest.exclude t ~addr:0x100 ~size:0x10;
-  Pmtest.emit t (Event.Op (Model.Write { addr = 0x100; size = 8 }));
-  Pmtest.send_trace t;
-  Pmtest.emit t (Event.Op (Model.Write { addr = 0x40; size = 8 }));
-  Pmtest.is_persist t ~addr:0x40 ~size:8;
-  Pmtest.emit t (Event.Op (Model.Write { addr = 0x104; size = 4 }));
-  Pmtest.include_ t ~addr:0x100 ~size:0x10;
-  Pmtest.send_trace t;
-  Pmtest.emit t (Event.Op (Model.Write { addr = 0x200; size = 8 }));
-  Pmtest.finish t
-
-let report_key (r : Report.t) =
-  ( List.sort compare
-      (List.map
-         (fun (d : Report.diagnostic) -> (Report.kind_string d.Report.kind, d.Report.message))
-         r.Report.diagnostics),
-    r.Report.ops,
-    r.Report.checkers )
-
-let test_packed_session_equals_boxed () =
-  let boxed = check_session ~packed:false ~workers:0 () in
-  List.iter
-    (fun workers ->
-      let packed = check_session ~packed:true ~workers () in
-      Alcotest.(check bool)
-        (Printf.sprintf "same verdict, packed session, %d worker(s)" workers)
-        true
-        (report_key packed = report_key boxed))
-    [ 0; 1; 2 ]
-
-let test_packed_session_observers_see_sections () =
-  (* Observers force the boxed fallback; the decoded sections must carry
-     exactly what was traced. *)
-  let t = Pmtest.init ~model:Model.X86 ~workers:0 ~packed:true () in
-  let seen = ref 0 in
-  Pmtest.on_section t (fun section -> seen := !seen + Array.length section);
-  Pmtest.emit t (Event.Op (Model.Write { addr = 0; size = 8 }));
-  Pmtest.emit t (Event.Op (Model.Clwb { addr = 0; size = 8 }));
-  Pmtest.emit t (Event.Op Model.Sfence);
-  Pmtest.send_trace t;
-  ignore (Pmtest.finish t);
-  Alcotest.(check int) "observer saw every entry" 3 !seen
-
 let () =
   Alcotest.run "packed"
     [
@@ -325,12 +274,6 @@ let () =
         [
           Alcotest.test_case "decode identity on every case" `Quick test_corpus_decode_identity;
           Alcotest.test_case "reports identical on every case" `Quick test_corpus_reports_identical;
-        ] );
-      ( "session",
-        [
-          Alcotest.test_case "packed session equals boxed" `Quick test_packed_session_equals_boxed;
-          Alcotest.test_case "observers see decoded sections" `Quick
-            test_packed_session_observers_see_sections;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -252,6 +252,17 @@ let test_session_get_result_drains () =
   Alcotest.(check int) "all 20 checked" 20 (List.length (Report.fails r));
   ignore (Pmtest.finish t)
 
+let test_session_observers () =
+  let t = Pmtest.init ~workers:0 () in
+  let seen = ref 0 in
+  Pmtest.on_section t (fun section -> seen := !seen + Array.length section);
+  Pmtest.emit t (Event.Op (Model.Write { addr = 0; size = 8 }));
+  Pmtest.emit t (Event.Op (Model.Clwb { addr = 0; size = 8 }));
+  Pmtest.emit t (Event.Op Model.Sfence);
+  Pmtest.send_trace t;
+  ignore (Pmtest.finish t);
+  Alcotest.(check int) "observer saw every entry" 3 !seen
+
 let () =
   Alcotest.run "runtime"
     [
@@ -281,5 +292,6 @@ let () =
           Alcotest.test_case "variable registry" `Quick test_session_vars;
           Alcotest.test_case "get_result blocks until drained" `Quick
             test_session_get_result_drains;
+          Alcotest.test_case "observers see every entry" `Quick test_session_observers;
         ] );
     ]

@@ -1,6 +1,7 @@
 (* pmtestd end to end: serve-vs-in-process report identity over the bug
-   catalog, robustness against clients dying mid-frame and garbage
-   sections, admission control, the shed backpressure policy, idle
+   catalog, the packed client session against boxed in-process sessions
+   on an exclusion scope crossing sections, robustness against clients
+   dying mid-frame and garbage sections, admission control, the shed backpressure policy, idle
    timeouts, and SIGTERM drain of the real CLI daemon. *)
 
 open Pmtest_model
@@ -29,19 +30,20 @@ let with_server ?obs ?(cfg = Server.default_config) f =
 
 let render r = Format.asprintf "%a" Report.pp r
 
-(* Drive one event stream through [emit]/[flush] with fixed chunking, so
+(* Drive one event stream through [emit]/[flush], cutting a section
+   after every entry index [cut] accepts (default: every 32 entries), so
    the remote and the in-process side see identical section streams. *)
-let drive ~emit ~flush entries =
+let drive ?(cut = fun i -> (i + 1) mod 32 = 0) ~emit ~flush entries =
   Array.iteri
     (fun i (e : Event.t) ->
       emit e;
-      if (i + 1) mod 32 = 0 then flush e.Event.thread)
+      if cut i then flush e.Event.thread)
     entries
 
-let local_report ~model entries =
-  let t = Pmtest.init ~model ~workers:0 ~packed:true () in
+let local_report ?cut ?(workers = 0) ~model entries =
+  let t = Pmtest.init ~model ~workers () in
   let seen = Hashtbl.create 4 in
-  drive
+  drive ?cut
     ~emit:(fun (e : Event.t) ->
       if not (Hashtbl.mem seen e.Event.thread) then begin
         Hashtbl.replace seen e.Event.thread ();
@@ -52,12 +54,12 @@ let local_report ~model entries =
     entries;
   Pmtest.finish t
 
-let remote_report ~socket ~model entries =
+let remote_report ?cut ~socket ~model entries =
   match Client.connect ~model ~socket () with
   | Error m -> Alcotest.failf "connect: %s" m
   | Ok conn ->
     let s = Client.Session.make conn in
-    drive
+    drive ?cut
       ~emit:(fun (e : Event.t) ->
         Client.Session.emit ~thread:e.Event.thread ~loc:e.Event.loc s e.Event.kind)
       ~flush:(fun th -> Client.Session.send_trace ~thread:th s)
@@ -65,6 +67,32 @@ let remote_report ~socket ~model entries =
     let r = Client.Session.finish s in
     Client.close conn;
     (match r with Ok r -> r | Error m -> Alcotest.failf "finish: %s" m)
+
+(* An exclusion scope that crosses a [send_trace] boundary (cut after
+   entries 5 and 10), checkers on both sides of it.  In process, the
+   scope heads the second section as a boxed preamble; over the wire it
+   travels as a [Prelude] frame into [send_packed_cb ~prelude] and
+   [Engine.check_packed ~prelude].  Only the 0x40 checker fails: the one
+   on 0x104 is inside the carried scope. *)
+let exclusion_stream =
+  let op o = Event.make (Event.Op o) in
+  let entries =
+    [|
+      op (Model.Write { addr = 0x00; size = 8 });
+      op (Model.Clwb { addr = 0x00; size = 8 });
+      op Model.Sfence;
+      Event.make (Event.Checker (Event.Is_persist { addr = 0x00; size = 8 }));
+      Event.make (Event.Control (Event.Exclude { addr = 0x100; size = 0x10 }));
+      op (Model.Write { addr = 0x100; size = 8 });
+      op (Model.Write { addr = 0x40; size = 8 });
+      Event.make (Event.Checker (Event.Is_persist { addr = 0x40; size = 8 }));
+      op (Model.Write { addr = 0x104; size = 4 });
+      Event.make (Event.Checker (Event.Is_persist { addr = 0x104; size = 4 }));
+      Event.make (Event.Control (Event.Include { addr = 0x100; size = 0x10 }));
+      op (Model.Write { addr = 0x200; size = 8 });
+    |]
+  in
+  (entries, fun i -> i = 5 || i = 10)
 
 let test_serve_equals_in_process_bugdb () =
   with_server (fun socket _t ->
@@ -78,6 +106,35 @@ let test_serve_equals_in_process_bugdb () =
                 (render (remote_report ~socket ~model:Model.X86 entries)))
             [ ("buggy", Case.trace case); ("clean", Case.trace_clean case) ])
         Catalog.all)
+
+let report_key (r : Report.t) =
+  ( List.sort compare
+      (List.map
+         (fun (d : Report.diagnostic) -> (Report.kind_string d.Report.kind, d.Report.message))
+         r.Report.diagnostics),
+    r.Report.ops,
+    r.Report.checkers )
+
+let test_packed_session_equals_boxed () =
+  (* The remote side is a packed [Client.Session]; the in-process side a
+     boxed session, byte-identical with no workers and the same verdict
+     with worker domains checking the sections. *)
+  with_server (fun socket _t ->
+      let entries, cut = exclusion_stream in
+      let remote = remote_report ~cut ~socket ~model:Model.X86 entries in
+      Alcotest.(check int) "scope carried into the second section" 1
+        (List.length (Report.fails remote));
+      Alcotest.(check string) "exclusion scope across send_trace identical over the wire"
+        (render (local_report ~cut ~model:Model.X86 entries))
+        (render remote);
+      List.iter
+        (fun workers ->
+          Alcotest.(check bool)
+            (Printf.sprintf "same verdict, boxed session, %d worker(s)" workers)
+            true
+            (report_key (local_report ~cut ~workers ~model:Model.X86 entries)
+            = report_key remote))
+        [ 1; 2 ])
 
 let test_concurrent_sessions_isolated () =
   (* Several sessions on one daemon, interleaved: each aggregate must be
@@ -448,6 +505,11 @@ let () =
             test_serve_equals_in_process_bugdb;
           Alcotest.test_case "concurrent sessions are isolated" `Quick
             test_concurrent_sessions_isolated;
+        ] );
+      ( "session",
+        [
+          Alcotest.test_case "packed session equals boxed" `Quick
+            test_packed_session_equals_boxed;
         ] );
       ( "robustness",
         [
