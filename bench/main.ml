@@ -4,18 +4,21 @@
      dune exec bench/main.exe -- [target] [options]
 
    Targets: fig10a fig10b fig11 fig12a fig12b fig12c table1 table5 table6
-            yat ablation lint fuzz litmus obs perf repair serve farm bechamel
+            yat ablation lint fuzz crashfs litmus obs perf repair serve farm
+            bechamel
             all (default: all)
    Options: --insertions N   microbenchmark insertions per cell (default 600)
             --ops N          real-workload operations (default 4000)
             --runs N         timing repetitions, best-of (default 3)
-            --tsv FILE       also write machine-readable rows to FILE
-            --json FILE      repair/litmus only: write the summary as JSON to FILE
-            --gate           perf only: exit 1 if the packed representation
+            --json FILE      write every selected target's rows as JSON to FILE
+            --gate           perf: exit 1 if the packed representation
                              (geomean of codec emit and engine check speedup)
-                             is slower than boxed
+                             is slower than boxed; serve: exit 1 if shard
+                             scaling misses the bar for this machine's cores
             --full           paper-scale parameters (slow)
 
+   Every number a target records is one row (bench, structure, param,
+   metric, value), and [--json] writes all of them in one file.
    Absolute times depend on the simulator; the paper's *shapes* are what
    these benches reproduce: who is faster, by roughly what factor, and how
    the curves move with transaction size, thread count and worker count.
@@ -41,7 +44,6 @@ open Pmtest_bugdb
 let insertions = ref 600
 let kv_ops = ref 4000
 let runs = ref 3
-let tsv_path = ref None
 let json_path = ref None
 let gate = ref false
 
@@ -51,19 +53,39 @@ let gate = ref false
    for nothing.  [--shards] overrides. *)
 let bench_shards = ref 0
 
-let tsv_rows : string list ref = ref []
+(* The one sink: [record bench structure param [(metric, value); ...]]
+   adds one row per metric, kept in measurement order. *)
+let rows = ref []
 
-let tsv fmt = Printf.ksprintf (fun row -> tsv_rows := row :: !tsv_rows) fmt
+let record bench structure param metrics =
+  List.iter
+    (fun (metric, value) -> rows := (bench, structure, param, metric, value) :: !rows)
+    metrics
 
-let write_tsv () =
-  match !tsv_path with
+(* Names are printable ASCII without quotes or backslashes, which OCaml's
+   [%S] writes exactly as JSON does.
+   Counts are written exactly, measurements to seven significant digits,
+   and a value with no JSON form (a nan ratio) as null. *)
+let write_json () =
+  match !json_path with
   | None -> ()
   | Some path ->
+    let num v =
+      if not (Float.is_finite v) then "null"
+      else if Float.is_integer v then Printf.sprintf "%.0f" v
+      else Printf.sprintf "%.7g" v
+    in
     let oc = open_out path in
-    output_string oc "bench\tstructure\tparam\tmetric\tvalue\n";
-    List.iter (fun row -> output_string oc (row ^ "\n")) (List.rev !tsv_rows);
+    output_string oc "{\"rows\": [";
+    List.iteri
+      (fun i (b, s, p, m, v) ->
+        Printf.fprintf oc
+          "%s\n  {\"bench\": %S, \"structure\": %S, \"param\": %S, \"metric\": %S, \"value\": %s}"
+          (if i = 0 then "" else ",") b s p m (num v))
+      (List.rev !rows);
+    output_string oc "\n]}\n";
     close_out oc;
-    Fmt.pr "@.TSV written to %s@." path
+    Fmt.pr "@.JSON written to %s@." path
 
 (* Pool sized to the cell's needs: nodes + payload blocks + undo-log area,
    with generous slack — allocating a fixed huge pool would otherwise
@@ -90,6 +112,12 @@ let time f =
     if t < !best then best := t
   done;
   !best
+
+(* [time], also returning the result of the last run. *)
+let timed f =
+  let result = ref None in
+  let t = time (fun () -> result := Some (f ())) in
+  (Option.get !result, t)
 
 let ratio a b = if b <= 0.0 then nan else a /. b
 
@@ -169,7 +197,8 @@ let micro_loop micro pool ~size ~n ~per_insert =
     per_insert i
   done
 
-let micro_time tool micro ~size ~n =
+(* [~profiled] attaches a live observability collector to PMTest sessions. *)
+let micro_time ?(profiled = false) tool micro ~size ~n =
   let psize = pool_size_for ~size ~n in
   let best = ref infinity in
   for _ = 1 to !runs do
@@ -179,7 +208,8 @@ let micro_time tool micro ~size ~n =
         let pool = Pool.create ~size:psize ~sink:Sink.null () in
         time_once (fun () -> micro_loop micro pool ~size ~n ~per_insert:ignore)
       | `Pmtest workers ->
-        let session = Pmtest.init ~workers () in
+        let obs = if profiled then Some (Pmtest_obs.Obs.create ()) else None in
+        let session = Pmtest.init ~workers ?obs () in
         let pool = Pool.create ~size:psize ~sink:(Pmtest.sink session) () in
         let t =
           time_once (fun () ->
@@ -190,32 +220,12 @@ let micro_time tool micro ~size ~n =
         if Report.has_fail report then
           Fmt.epr "WARNING: unexpected FAIL in %s: %a@." micro.m_name Report.pp report;
         t
-      | `Pmtest_profiled workers ->
-        (* As [`Pmtest] but with a live observability collector attached. *)
-        let session = Pmtest.init ~workers ~obs:(Pmtest_obs.Obs.create ()) () in
-        let pool = Pool.create ~size:psize ~sink:(Pmtest.sink session) () in
-        let t =
-          time_once (fun () ->
-              micro_loop micro pool ~size ~n ~per_insert:(fun _ -> Pmtest.send_trace session);
-              ignore (Pmtest.get_result session))
-        in
-        ignore (Pmtest.finish session);
-        t
       | `Track_only ->
         (* Tracking cost without any checking: sections are dropped. *)
         let builder = Builder.create () in
         let pool = Pool.create ~size:psize ~sink:(Builder.sink builder) () in
         time_once (fun () ->
             micro_loop micro pool ~size ~n ~per_insert:(fun _ -> ignore (Builder.take builder)))
-      | `Pmtest_sync ->
-        let session = Pmtest.init ~workers:0 () in
-        let pool = Pool.create ~size:psize ~sink:(Pmtest.sink session) () in
-        let t =
-          time_once (fun () ->
-              micro_loop micro pool ~size ~n ~per_insert:(fun _ -> Pmtest.send_trace session))
-        in
-        ignore (Pmtest.finish session);
-        t
       | `Pmemcheck ->
         let pc = Pmemcheck.create ~size:psize in
         let pool = Pool.create ~size:psize ~sink:(Pmemcheck.sink pc) () in
@@ -244,13 +254,17 @@ let fig10a () =
           let r_pm = ratio t_pmtest t_base and r_pc = ratio t_pc t_base in
           pmtest_ratios := r_pm :: !pmtest_ratios;
           pmemcheck_ratios := r_pc :: !pmemcheck_ratios;
-          Fmt.pr "%-16s %8d %12.2f %10.2f %12.2f@." micro.m_name size (t_base *. 1e3) r_pm r_pc)
+          Fmt.pr "%-16s %8d %12.2f %10.2f %12.2f@." micro.m_name size (t_base *. 1e3) r_pm r_pc;
+          record "fig10a" micro.m_name (string_of_int size)
+            [ ("base_ms", t_base *. 1e3); ("pmtest_x", r_pm); ("pmemcheck_x", r_pc) ])
         tx_sizes)
     micros;
   let geo l = Stats.geomean (Array.of_list l) in
   let avg_pm = geo !pmtest_ratios and avg_pc = geo !pmemcheck_ratios in
   Fmt.pr "@.geomean slowdown: PMTest %.2fx, Pmemcheck %.2fx — Pmemcheck/PMTest = %.1fx@." avg_pm
     avg_pc (avg_pc /. avg_pm);
+  record "fig10a" "geomean" "-"
+    [ ("pmtest_x", avg_pm); ("pmemcheck_x", avg_pc); ("pmemcheck_over_pmtest", avg_pc /. avg_pm) ];
   Fmt.pr "(paper: PMTest 5.2-8.9x faster than Pmemcheck, 7.1x on average;@.";
   Fmt.pr " PMTest overhead falls as the transaction size grows)@."
 
@@ -278,11 +292,18 @@ let fig10b () =
           let ch_pct = 100.0 *. checker /. overhead in
           checker_shares := ch_pct :: !checker_shares;
           Fmt.pr "%-16s %8d %12.2f %11.1f%% %11.1f%%@." micro.m_name size (ratio t_full t_base)
-            fr_pct ch_pct)
+            fr_pct ch_pct;
+          record "fig10b" micro.m_name (string_of_int size)
+            [
+              ("overhead_x", ratio t_full t_base);
+              ("framework_pct", fr_pct);
+              ("checker_pct", ch_pct);
+            ])
         [ 64; 512; 4096 ])
     micros;
-  Fmt.pr "@.mean checker share of total overhead: %.1f%%@."
-    (Stats.mean (Array.of_list !checker_shares));
+  let mean_share = Stats.mean (Array.of_list !checker_shares) in
+  Fmt.pr "@.mean checker share of total overhead: %.1f%%@." mean_share;
+  record "fig10b" "mean" "-" [ ("checker_pct", mean_share) ];
   Fmt.pr
     "(paper: decoupled checking contributes 18.9%%-37.8%% of the overhead; our simulated@.";
   Fmt.pr
@@ -396,16 +417,25 @@ let fig11 () =
         let t_pm = time (fun () -> run (`Pmtest 1)) in
         let r = ratio t_pm t_base in
         Fmt.pr "%-24s %12.2f %12.2f@." name (t_base *. 1e3) r;
+        record "fig11" name "-" [ ("base_ms", t_base *. 1e3); ("pmtest_x", r) ];
         r)
       rows
   in
-  Fmt.pr "%-24s %12s %12.2f@." "Average" "" (Stats.geomean (Array.of_list ratios));
+  let avg = Stats.geomean (Array.of_list ratios) in
+  Fmt.pr "%-24s %12s %12.2f@." "Average" "" avg;
+  record "fig11" "geomean" "-" [ ("pmtest_x", avg) ];
   (* Redis is PMDK-based, so the paper also tests it under Pmemcheck. *)
   let t_base = time (fun () -> redis_workload ~tool:`None ()) in
   let t_pc = time (fun () -> redis_workload ~tool:`Pmemcheck ()) in
   let t_pm = time (fun () -> redis_workload ~tool:(`Pmtest 1) ()) in
   Fmt.pr "@.Redis under Pmemcheck: %.2fx (vs %.2fx under PMTest; Pmemcheck/PMTest = %.1fx)@."
     (ratio t_pc t_base) (ratio t_pm t_base) (ratio t_pc t_pm);
+  record "fig11" "Redis+LRU" "vs-pmemcheck"
+    [
+      ("pmemcheck_x", ratio t_pc t_base);
+      ("pmtest_x", ratio t_pm t_base);
+      ("pmemcheck_over_pmtest", ratio t_pc t_pm);
+    ];
   Fmt.pr "(paper: PMTest 1.33-1.98x, avg 1.69x; Redis+Pmemcheck 22.3x, 13.6x slower than PMTest)@."
 
 (* --- Figure 12 ------------------------------------------------------------------ *)
@@ -424,17 +454,12 @@ let fig12_cell ~threads ~workers ~client =
 let fig12 variant () =
   let memslap ~ops ~keys rng = Clients.memslap ~ops ~keys rng in
   let ycsb ~ops ~keys rng = Clients.ycsb ~ops ~keys rng in
-  let cells =
+  (* (threads, workers) cells *)
+  let bench, label, cells =
     match variant with
-    | `A -> List.map (fun t -> (t, 1)) [ 1; 2; 4 ]
-    | `B -> List.map (fun w -> (4, w)) [ 1; 2; 4 ]
-    | `C -> List.map (fun n -> (n, n)) [ 1; 2; 4 ]
-  in
-  let label =
-    match variant with
-    | `A -> "(a) vs. #Memcached threads, 1 PMTest worker"
-    | `B -> "(b) vs. #PMTest workers, 4 Memcached threads"
-    | `C -> "(c) #threads = #workers"
+    | `A -> ("fig12a", "(a) vs. #Memcached threads, 1 PMTest worker", [ (1, 1); (2, 1); (4, 1) ])
+    | `B -> ("fig12b", "(b) vs. #PMTest workers, 4 Memcached threads", [ (4, 1); (4, 2); (4, 4) ])
+    | `C -> ("fig12c", "(c) #threads = #workers", [ (1, 1); (2, 2); (4, 4) ])
   in
   Fmt.pr "@.### Figure 12%s (%d ops)@.@." label !kv_ops;
   Fmt.pr "%-10s %-10s %12s %12s@." "threads" "workers" "Memslap(x)" "YCSB(x)";
@@ -442,7 +467,11 @@ let fig12 variant () =
     (fun (threads, workers) ->
       let a = fig12_cell ~threads ~workers ~client:memslap in
       let b = fig12_cell ~threads ~workers ~client:ycsb in
-      Fmt.pr "%-10d %-10d %12.2f %12.2f@." threads workers a b)
+      Fmt.pr "%-10d %-10d %12.2f %12.2f@." threads workers a b;
+      record bench
+        (Printf.sprintf "threads=%d" threads)
+        (Printf.sprintf "workers=%d" workers)
+        [ ("memslap_x", a); ("ycsb_x", b) ])
     cells;
   (match variant with
   | `A -> Fmt.pr "(paper: slowdown grows with thread count at a single worker)@."
@@ -456,8 +485,6 @@ let fig12 variant () =
     (* The paper's underlying claim, isolated from the GC effect: more
        workers drain a fixed backlog of recorded trace sections faster. *)
     let sections = ref [] in
-    let collect = { Sink.emit = (fun _ _ -> ()) } in
-    ignore collect;
     let builders = Array.init 4 (fun i -> Builder.create ~thread:i ()) in
     let mc =
       Memcached.create ~shards:4 ~sink_of:(fun i -> Builder.sink builders.(i)) ()
@@ -475,6 +502,7 @@ let fig12 variant () =
     let sections = Array.of_list !sections in
     Fmt.pr "@.offline checking throughput over %d recorded sections (YCSB, 4 clients):@."
       (Array.length sections);
+    record bench "drain" "-" [ ("sections", float (Array.length sections)) ];
     Fmt.pr "%-10s %14s %10s@." "workers" "drain time(s)" "speedup";
     let t1 = ref nan in
     List.iter
@@ -486,7 +514,9 @@ let fig12 variant () =
               ignore (Pmtest_core.Runtime.shutdown rt))
         in
         if w = 1 then t1 := t;
-        Fmt.pr "%-10d %14.3f %9.2fx@." w t (!t1 /. t))
+        Fmt.pr "%-10d %14.3f %9.2fx@." w t (!t1 /. t);
+        record bench "drain" (Printf.sprintf "workers=%d" w)
+          [ ("seconds", t); ("speedup", !t1 /. t) ])
       [ 1; 2; 4 ];
     Fmt.pr
       "(the paper's drain time falls with workers; OCaml 5.1's multi-domain allocation@.";
@@ -501,9 +531,24 @@ let table1 () =
   Fmt.pr "@.### Table 1 — tools for testing crash-consistent software@.@.";
   Fmt.pr "%-22s %-8s %-12s %-18s %-8s@." "Tool" "Speed" "Flexibility" "Target software"
     "Kernel?";
-  Fmt.pr "%-22s %-8s %-12s %-18s %-8s@." "Yat" "Low" "Low" "PMFS" "Yes";
-  Fmt.pr "%-22s %-8s %-12s %-18s %-8s@." "Pmemcheck" "Medium" "Low" "PMDK" "No";
-  Fmt.pr "%-22s %-8s %-12s %-18s %-8s@." "PMTest (this work)" "High" "High" "Any CCS" "Yes";
+  (* Rows carry the levels as 1 = Low, 2 = Medium, 3 = High, and kernel
+     support as 1 = Yes. *)
+  let level = function 1 -> "Low" | 2 -> "Medium" | _ -> "High" in
+  List.iter
+    (fun (tool, speed, flexibility, target, kernel) ->
+      Fmt.pr "%-22s %-8s %-12s %-18s %-8s@." tool (level speed) (level flexibility) target
+        (if kernel then "Yes" else "No");
+      record "table1" tool target
+        [
+          ("speed", float speed);
+          ("flexibility", float flexibility);
+          ("kernel", if kernel then 1.0 else 0.0);
+        ])
+    [
+      ("Yat", 1, 1, "PMFS", true);
+      ("Pmemcheck", 2, 1, "PMDK", false);
+      ("PMTest (this work)", 3, 3, "Any CCS", true);
+    ];
   Fmt.pr "@.(the yat and fig10a/fig11 targets quantify the Speed column;@.";
   Fmt.pr " the hops_model example and the PMFS/Mnemosyne/PMDK integrations the Flexibility one)@."
 
@@ -653,56 +698,35 @@ let fuzz_bench () =
   Fmt.pr " pair — the rate bounds how many programs a nightly campaign can afford)@.@.";
   Fmt.pr "%-8s %10s %10s %10s %12s %12s@." "model" "programs" "entries" "total(s)" "prog/s"
     "entries/s";
-  let model_rows = ref [] in
   List.iter
     (fun model ->
       let cfg =
         { (Campaign.default_cfg model) with Campaign.count = 400; seed = 0; shrink = false }
       in
-      let stats = ref None in
-      let t = time (fun () -> stats := Some (Campaign.run cfg)) in
-      match !stats with
-      | None -> ()
-      | Some s ->
-        let name = Model.kind_name model in
-        Fmt.pr "%-8s %10d %10d %10.3f %12.0f %12.0f@." name s.Campaign.programs
-          s.Campaign.events t
-          (float_of_int s.Campaign.programs /. t)
-          (float_of_int s.Campaign.events /. t);
-        tsv "fuzz\t%s\t%d\tprogs_per_s\t%.0f" name s.Campaign.programs
-          (float_of_int s.Campaign.programs /. t);
-        let pairs =
-          List.map
-            (fun (pair, secs) ->
-              let applied = List.assoc pair s.Campaign.applied in
-              Fmt.pr "    %-18s applied %6d  %8.3fs@." (Cross.pair_name pair) applied secs;
-              Printf.sprintf "      {\"pair\": %S, \"applied\": %d, \"seconds\": %.3f}"
-                (Cross.pair_name pair) applied secs)
-            s.Campaign.pair_seconds
-        in
-        model_rows :=
-          Printf.sprintf
-            "    {\"model\": %S, \"programs\": %d, \"entries\": %d, \"progs_per_s\": %.0f, \
-             \"entries_per_s\": %.0f, \"findings\": %d, \"pairs\": [\n\
-             %s\n\
-            \    ]}"
-            name s.Campaign.programs s.Campaign.events
-            (float_of_int s.Campaign.programs /. t)
-            (float_of_int s.Campaign.events /. t)
-            (List.length s.Campaign.findings)
-            (String.concat ",\n" pairs)
-          :: !model_rows)
+      let s, t = timed (fun () -> Campaign.run cfg) in
+      let name = Model.kind_name model in
+      Fmt.pr "%-8s %10d %10d %10.3f %12.0f %12.0f@." name s.Campaign.programs
+        s.Campaign.events t
+        (float_of_int s.Campaign.programs /. t)
+        (float_of_int s.Campaign.events /. t);
+      record "fuzz" name "-"
+        [
+          ("programs", float s.Campaign.programs);
+          ("entries", float s.Campaign.events);
+          ("progs_per_s", float_of_int s.Campaign.programs /. t);
+          ("entries_per_s", float_of_int s.Campaign.events /. t);
+          ("findings", float (List.length s.Campaign.findings));
+        ];
+      List.iter
+        (fun (pair, secs) ->
+          let applied = List.assoc pair s.Campaign.applied in
+          Fmt.pr "    %-18s applied %6d  %8.3fs@." (Cross.pair_name pair) applied secs;
+          record "fuzz" name (Cross.pair_name pair)
+            [ ("applied", float applied); ("seconds", secs) ])
+        s.Campaign.pair_seconds)
     Model.all_kinds;
   Fmt.pr "@.(differential checking dominates generation; the crashtest pair enumerates@.";
-  Fmt.pr " versioned crash images and is the budget to watch on long campaigns)@.";
-  match !json_path with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    Printf.fprintf oc "{\n  \"bench\": \"fuzz\",\n  \"models\": [\n%s\n  ]\n}\n"
-      (String.concat ",\n" (List.rev !model_rows));
-    close_out oc;
-    Fmt.pr "@.JSON written to %s@." path
+  Fmt.pr " versioned crash images and is the budget to watch on long campaigns)@."
 
 (* --- Observability overhead ------------------------------------------------------------ *)
 
@@ -756,7 +780,7 @@ let obs_bench () =
       List.iter
         (fun size ->
           let t_off = micro_time (`Pmtest 1) micro ~size ~n in
-          let t_on = micro_time (`Pmtest_profiled 1) micro ~size ~n in
+          let t_on = micro_time ~profiled:true (`Pmtest 1) micro ~size ~n in
           ratios := ratio t_on t_off :: !ratios;
           Fmt.pr "%-16s %8d %12.2f %12.2f %9.1f%%@." micro.m_name size (t_off *. 1e3)
             (t_on *. 1e3)
@@ -797,7 +821,7 @@ let perf () =
     in
     let ns = t *. 1e9 /. float_of_int n_events in
     Fmt.pr "  %-24s %8.1f ns/event  %10.1f Mev/s@." name ns (1e3 /. ns);
-    tsv "codec\t%s\temit\tns_per_event\t%.2f" name ns;
+    record "perf" "codec" name [ ("ns_per_event", ns) ];
     ns
   in
   Fmt.pr "codec emit path (%d events):@." n_events;
@@ -817,7 +841,7 @@ let perf () =
   in
   let codec_speedup = ns_boxed /. ns_packed in
   Fmt.pr "  emit speedup: %.2fx@." codec_speedup;
-  tsv "codec\tgeomean\t-\temit_speedup\t%.3f" codec_speedup;
+  record "perf" "codec" "-" [ ("emit_speedup", codec_speedup) ];
   (* 2. Engine: checking a pre-recorded section through each path. *)
   let section =
     let b = Builder.create () in
@@ -844,16 +868,22 @@ let perf () =
   Fmt.pr "  %-24s %10.0f ev/s@." "check_packed (flat)" (ev /. t_pak);
   let engine_speedup = t_box /. t_pak in
   Fmt.pr "  check speedup: %.2fx@." engine_speedup;
-  tsv "engine\tctree-section\tcheck\tspeedup\t%.3f" engine_speedup;
+  record "perf" "engine" "ctree-section"
+    [
+      ("entries", float (Array.length section));
+      ("boxed_ev_per_s", ev /. t_box);
+      ("packed_ev_per_s", ev /. t_pak);
+      ("check_speedup", engine_speedup);
+    ];
   Fmt.pr "@.(verdicts are pinned identical by test_packed and the engine/packed fuzz@.";
   Fmt.pr " contract)@.";
   let rep_geo = sqrt (codec_speedup *. engine_speedup) in
-  tsv "gate\trepresentation\t-\tgeomean_speedup\t%.3f" rep_geo;
+  record "perf" "gate" "representation" [ ("geomean_speedup", rep_geo) ];
   if !gate && rep_geo < 1.0 then begin
     Fmt.epr
       "GATE FAILED: packed representation slower than boxed (codec %.2fx x engine %.2fx, geomean %.3fx < 1.0)@."
       codec_speedup engine_speedup rep_geo;
-    write_tsv ();
+    write_json ();
     exit 1
   end
 
@@ -938,10 +968,16 @@ let serve_bench () =
   Fmt.pr "  %-24s %10.2f ms@." "in-process" (t_local *. 1e3);
   Fmt.pr "  %-24s %10.2f ms  (%.2fx, %+.1f us/section)@." "over the socket"
     (t_remote *. 1e3) (ratio t_remote t_local) per_sec_us;
-  tsv "serve\tsingle\t%d\tlocal_ms\t%.3f" nsec (t_local *. 1e3);
-  tsv "serve\tsingle\t%d\tremote_ms\t%.3f" nsec (t_remote *. 1e3);
-  tsv "serve\tsingle\t%d\toverhead_ratio\t%.3f" nsec (ratio t_remote t_local);
-  tsv "serve\tsingle\t%d\tper_section_us\t%.2f" nsec per_sec_us;
+  record "serve" "single" "-"
+    [
+      ("seed", float seed);
+      ("section_entries", float section_len);
+      ("sections", float nsec);
+      ("local_ms", t_local *. 1e3);
+      ("remote_ms", t_remote *. 1e3);
+      ("overhead_ratio", ratio t_remote t_local);
+      ("per_section_us", per_sec_us);
+    ];
   (* 2. Shard scaling: a fresh daemon with [--shards] shards (one worker
      domain each), N concurrent sessions each streaming the same
      pre-encoded section frames.  Frames are encoded once, outside the
@@ -1010,7 +1046,8 @@ let serve_bench () =
             let rate = float_of_int (clients * nsec) /. t in
             if clients = 1 then r1 := rate;
             Fmt.pr "%-10d %12.3f %14.0f %9.2fx@." clients t rate (rate /. !r1);
-            tsv "serve\tscaling\t%d\tsections_per_s\t%.0f" clients rate;
+            record "serve" "scaling" (Printf.sprintf "clients=%d" clients)
+              [ ("sections_per_s", rate) ];
             (clients, rate))
           [ 1; 4; 8 ])
   in
@@ -1027,7 +1064,6 @@ let serve_bench () =
     else if parallel_shards >= 2 then (0.75 *. float_of_int parallel_shards, "partial")
     else (0.85, "degraded")
   in
-  let passed = scaling_8v1 >= required in
   Fmt.pr "@.8-client vs 1-client aggregate: %.2fx (gate: >= %.2fx, %s mode on %d core(s))@."
     scaling_8v1 required mode cores;
   if mode <> "full" then
@@ -1035,50 +1071,12 @@ let serve_bench () =
       " (too few cores for %d shards to run in parallel — the near-linear bar needs >= %d cores;@.\
       \ this machine's bar only checks that sharding does not regress throughput)@."
       shards ((2 * 4) + 1);
-  tsv "serve\tscaling\t8v1\tratio\t%.3f" scaling_8v1;
-  tsv "serve\tgate\t%s\trequired\t%.3f" mode required;
-  (match !json_path with
-  | None -> ()
-  | Some path ->
-    (* The caveat travels with the numbers: a reader of the JSON must be
-       able to tell a waived near-linear bar from a met one without
-       knowing what machine produced the file. *)
-    let caveat =
-      if mode = "full" then ""
-      else
-        Printf.sprintf
-          "only %d shard(s) can run in parallel on %d core(s); the near-linear 8v1 bar needs \
-           >= 9 cores, so this gate only checks that sharding does not regress throughput"
-          parallel_shards cores
-    in
-    let oc = open_out path in
-    Printf.fprintf oc
-      "{\n\
-      \  \"bench\": \"serve\",\n\
-      \  \"shards\": %d,\n\
-      \  \"workers_per_shard\": 1,\n\
-      \  \"cores\": %d,\n\
-      \  \"seed\": %d,\n\
-      \  \"section_entries\": %d,\n\
-      \  \"sections_per_client\": %d,\n\
-      \  \"single_client\": {\"local_ms\": %.3f, \"remote_ms\": %.3f, \"per_section_us\": %.2f},\n\
-      \  \"scaling\": [%s],\n\
-      \  \"scaling_8v1\": %.3f,\n\
-      \  \"gate\": {\"required\": %.3f, \"mode\": \"%s\", \"passed\": %b,\n\
-      \           \"multi_core_pending\": %b, \"caveat\": \"%s\"}\n\
-       }\n"
-      shards cores seed section_len nsec (t_local *. 1e3) (t_remote *. 1e3) per_sec_us
-      (String.concat ", "
-         (List.map
-            (fun (c, r) -> Printf.sprintf "{\"clients\": %d, \"sections_per_s\": %.0f}" c r)
-            rates))
-      scaling_8v1 required mode passed (mode <> "full") caveat;
-    close_out oc;
-    Fmt.pr "@.JSON written to %s@." path);
-  if !gate && not passed then begin
+  record "serve" "scaling" "8v1" [ ("shards", float shards); ("ratio", scaling_8v1) ];
+  record "serve" "gate" mode [ ("required", required); ("cores", float cores) ];
+  if !gate && not (scaling_8v1 >= required) then begin
     Fmt.epr "GATE FAILED: 8-client scaling %.2fx < required %.2fx (%s mode, %d core(s))@."
       scaling_8v1 required mode cores;
-    write_tsv ();
+    write_json ();
     exit 1
   end
 
@@ -1157,19 +1155,16 @@ let farm_bench () =
         let rate = float_of_int jobs /. t in
         if workers = 1 then r1 := rate;
         Fmt.pr "%-10d %12.3f %14.2f %9.2fx@." workers t rate (rate /. !r1);
-        tsv "farm\tthroughput\t%d\tjobs_per_s\t%.2f" workers rate;
+        record "farm" "throughput" (Printf.sprintf "workers=%d" workers)
+          [ ("seconds", t); ("jobs_per_s", rate) ];
         bench_rm_rf dir;
-        (workers, t, rate))
+        (workers, rate))
       [ 1; 2 ]
   in
-  let rate_at n =
-    try
-      let _, _, r = List.find (fun (w, _, _) -> w = n) rates in
-      r
-    with Not_found -> nan
-  in
+  let rate_at n = try List.assoc n rates with Not_found -> nan in
   let scaling_2v1 = rate_at 2 /. rate_at 1 in
-  tsv "farm\tscaling\t2v1\tratio\t%.3f" scaling_2v1;
+  record "farm" "campaign" (Farm.Spec.to_string spec) [ ("jobs", float jobs) ];
+  record "farm" "scaling" "2v1" [ ("ratio", scaling_2v1); ("cores", float cores) ];
   (* Recovery: a raw victim claims the only job and dies; a raw rescuer,
      already connected and idle, timestamps the reassigned offer. *)
   let reassign_once () =
@@ -1232,37 +1227,14 @@ let farm_bench () =
   let mean = List.fold_left ( +. ) 0.0 samples /. float_of_int (List.length samples) in
   Fmt.pr "@.reassignment latency: best %.2f ms, mean %.2f ms over %d deaths@." best mean
     (List.length samples);
-  tsv "farm\treassign\tbest\tms\t%.3f" best;
-  tsv "farm\treassign\tmean\tms\t%.3f" mean;
+  record "farm" "reassign"
+    (Printf.sprintf "samples=%d" (List.length samples))
+    [ ("best_ms", best); ("mean_ms", mean) ];
   if cores < 3 then
     Fmt.pr
       " (2-worker scaling on %d core(s) measures protocol overhead, not parallelism;@.\
       \ re-run on a multi-core host for a real scaling signal)@."
-      cores;
-  match !json_path with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    Printf.fprintf oc
-      "{\n\
-      \  \"bench\": \"farm\",\n\
-      \  \"campaign\": \"%s\",\n\
-      \  \"jobs\": %d,\n\
-      \  \"cores\": %d,\n\
-      \  \"workers\": [%s],\n\
-      \  \"scaling_2v1\": %.3f,\n\
-      \  \"multi_core_pending\": %b,\n\
-      \  \"reassignment_ms\": {\"best\": %.3f, \"mean\": %.3f, \"samples\": %d}\n\
-       }\n"
-      (Farm.Spec.to_string spec) jobs cores
-      (String.concat ", "
-         (List.map
-            (fun (w, t, r) ->
-              Printf.sprintf "{\"workers\": %d, \"seconds\": %.3f, \"jobs_per_s\": %.2f}" w t r)
-            rates))
-      scaling_2v1 (cores < 3) best mean (List.length samples);
-    close_out oc;
-    Fmt.pr "@.JSON written to %s@." path
+      cores
 
 (* --- Bechamel micro-measurements ------------------------------------------------------ *)
 
@@ -1370,7 +1342,6 @@ let repair_bench () =
   let seed0 = 1000 in
   Fmt.pr "%-8s %10s %10s %12s %12s %8s %8s %8s %8s@." "model" "programs" "edits" "prog/s"
     "entries/s" "del-f" "del-wb" "ins-f" "ins-wb";
-  let model_rows = ref [] in
   List.iter
     (fun model ->
       let programs =
@@ -1380,13 +1351,11 @@ let repair_bench () =
       let entries =
         Array.fold_left (fun n (p : Gen.program) -> n + Array.length p.Gen.events) 0 programs
       in
-      let outcomes = ref [||] in
-      let t =
-        time (fun () ->
-            outcomes :=
-              Array.map
-                (fun (p : Gen.program) -> Repair.fixpoint ~model:p.Gen.model p.Gen.events)
-                programs)
+      let outcomes, t =
+        timed (fun () ->
+            Array.map
+              (fun (p : Gen.program) -> Repair.fixpoint ~model:p.Gen.model p.Gen.events)
+              programs)
       in
       Array.iteri
         (fun i o ->
@@ -1397,8 +1366,8 @@ let repair_bench () =
           | [] -> ()
           | problem :: _ ->
             Fmt.epr "WARNING: seed %d failed its proof: %s@." (seed0 + i) problem)
-        !outcomes;
-      let sum f = Array.fold_left (fun n o -> n + f o) 0 !outcomes in
+        outcomes;
+      let sum f = Array.fold_left (fun n o -> n + f o) 0 outcomes in
       let edits = sum Repair.edits_applied in
       let del_fences = sum (fun o -> o.Repair.deleted_fences) in
       let del_flushes = sum (fun o -> o.Repair.deleted_flushes) in
@@ -1409,22 +1378,20 @@ let repair_bench () =
         (float_of_int progs /. t)
         (float_of_int entries /. t)
         del_fences del_flushes ins_fences ins_flushes;
-      tsv "repair\t%s\t%d\tprogs_per_s\t%.0f" name progs (float_of_int progs /. t);
-      tsv "repair\t%s\t%d\tedits\t%d" name progs edits;
-      model_rows :=
-        Printf.sprintf
-          "    {\"model\": %S, \"programs\": %d, \"seed_base\": %d, \"progs_per_s\": %.0f, \
-           \"entries_per_s\": %.0f, \"edits_applied\": %d, \"fences_deleted\": %d, \
-           \"flushes_deleted\": %d, \"flushes_narrowed\": %d, \"fences_inserted\": %d, \
-           \"flushes_inserted\": %d, \"logs_inserted\": %d}"
-          name progs seed0
-          (float_of_int progs /. t)
-          (float_of_int entries /. t)
-          edits del_fences del_flushes
-          (sum (fun o -> o.Repair.narrowed_flushes))
-          ins_fences ins_flushes
-          (sum (fun o -> o.Repair.inserted_logs))
-        :: !model_rows)
+      record "repair" name "-"
+        [
+          ("programs", float progs);
+          ("seed_base", float seed0);
+          ("progs_per_s", float_of_int progs /. t);
+          ("entries_per_s", float_of_int entries /. t);
+          ("edits_applied", float edits);
+          ("fences_deleted", float del_fences);
+          ("flushes_deleted", float del_flushes);
+          ("flushes_narrowed", float (sum (fun o -> o.Repair.narrowed_flushes)));
+          ("fences_inserted", float ins_fences);
+          ("flushes_inserted", float ins_flushes);
+          ("logs_inserted", float (sum (fun o -> o.Repair.inserted_logs)));
+        ])
     Model.all_kinds;
   (* The two seeded PMFS performance bugs: the repairer must reproduce the
      upstream fixes mechanically. *)
@@ -1459,22 +1426,8 @@ let repair_bench () =
     o_fsync.Repair.deleted_fences;
   Fmt.pr "  empty-commit fence      %d fence(s) deleted (expect 1)@."
     o_empty.Repair.deleted_fences;
-  match !json_path with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    Printf.fprintf oc
-      "{\n\
-      \  \"bench\": \"repair\",\n\
-      \  \"models\": [\n\
-       %s\n\
-      \  ],\n\
-      \  \"pmfs\": {\"fsync_fences_deleted\": %d, \"empty_tx_fences_deleted\": %d}\n\
-       }\n"
-      (String.concat ",\n" (List.rev !model_rows))
-      o_fsync.Repair.deleted_fences o_empty.Repair.deleted_fences;
-    close_out oc;
-    Fmt.pr "@.JSON written to %s@." path
+  record "repair" "pmfs" "fsync" [ ("fences_deleted", float o_fsync.Repair.deleted_fences) ];
+  record "repair" "pmfs" "empty_tx" [ ("fences_deleted", float o_empty.Repair.deleted_fences) ]
 
 (* --- Litmus-suite throughput ------------------------------------------------------------- *)
 
@@ -1487,7 +1440,7 @@ let litmus_bench () =
   Fmt.pr " whole-model validation gate can run)@.@.";
   let reps = 20 in
   Fmt.pr "%-8s %8s %10s %12s@." "model" "tests" "total(s)" "tests/s";
-  let model_rows = ref [] and rates = ref [] in
+  let rates = ref [] in
   List.iter
     (fun model ->
       let tests = Suite.for_model model in
@@ -1508,31 +1461,12 @@ let litmus_bench () =
       let name = Model.kind_name model in
       rates := rate :: !rates;
       Fmt.pr "%-8s %8d %10.3f %12.0f@." name n t rate;
-      tsv "litmus\t%s\t%d\ttests_per_s\t%.0f" name n rate;
-      model_rows :=
-        Printf.sprintf "    {\"model\": %S, \"tests\": %d, \"reps\": %d, \"tests_per_s\": %.1f}"
-          name n reps rate
-        :: !model_rows)
+      record "litmus" name "-"
+        [ ("tests", float n); ("reps", float reps); ("tests_per_s", rate) ])
     Model.all_kinds;
   let geo = Stats.geomean (Array.of_list !rates) in
   Fmt.pr "@.geomean across models: %.0f tests/s@." geo;
-  tsv "litmus\tgeomean\t-\ttests_per_s\t%.0f" geo;
-  match !json_path with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    Printf.fprintf oc
-      "{\n\
-      \  \"bench\": \"litmus\",\n\
-      \  \"models\": [\n\
-       %s\n\
-      \  ],\n\
-      \  \"geomean_tests_per_s\": %.1f\n\
-       }\n"
-      (String.concat ",\n" (List.rev !model_rows))
-      geo;
-    close_out oc;
-    Fmt.pr "@.JSON written to %s@." path
+  record "litmus" "geomean" "-" [ ("tests_per_s", geo) ]
 
 (* --- Crash-state exploration throughput -------------------------------------------------- *)
 
@@ -1545,52 +1479,39 @@ let crashfs_bench () =
   let count = max 20 (!kv_ops / 40) in
   Fmt.pr "%-6s %6s %8s %10s %10s %10s %12s %12s %8s@." "fs" "runs" "bounds" "images" "remounts"
     "total(s)" "images/s" "remounts/s" "pruned";
-  let rows = ref [] in
   List.iter
     (fun fs ->
       let config = Crashfs.default_config fs in
-      let c = ref None in
-      let t = time (fun () -> c := Some (Crashfs.run_campaign config ~count ~seed:0 ())) in
-      match !c with
-      | None -> ()
-      | Some c ->
-        let s = c.Crashfs.total in
-        let name = Crashfs.fs_kind_name fs in
-        let ratio = Crashfs.pruned_ratio s in
-        if c.Crashfs.findings <> [] then
-          Fmt.epr "WARNING: %s reported %d finding(s) during the bench@." name
-            (List.length c.Crashfs.findings);
-        Fmt.pr "%-6s %6d %8d %10d %10d %10.3f %12.0f %12.0f %7.1f%%@." name c.Crashfs.runs
-          s.Crashfs.boundaries s.Crashfs.images s.Crashfs.recoveries t
-          (float_of_int s.Crashfs.images /. t)
-          (float_of_int s.Crashfs.recoveries /. t)
-          (100. *. ratio);
-        tsv "crashfs\t%s\t%d\timages_per_s\t%.0f" name count
-          (float_of_int s.Crashfs.images /. t);
-        tsv "crashfs\t%s\t%d\tpruned_ratio\t%.3f" name count ratio;
-        rows :=
-          Printf.sprintf
-            "    {\"fs\": %S, \"runs\": %d, \"ops\": %d, \"applied\": %d, \"boundaries\": %d, \
-             \"explored\": %d, \"images\": %d, \"recoveries\": %d, \"avoided\": %.0f, \
-             \"pruned_ratio\": %.4f, \"images_per_s\": %.0f, \"recoveries_per_s\": %.0f, \
-             \"findings\": %d}"
-            name c.Crashfs.runs s.Crashfs.ops s.Crashfs.applied s.Crashfs.boundaries
-            s.Crashfs.explored s.Crashfs.images s.Crashfs.recoveries s.Crashfs.avoided ratio
-            (float_of_int s.Crashfs.images /. t)
-            (float_of_int s.Crashfs.recoveries /. t)
-            (List.length c.Crashfs.findings)
-          :: !rows)
+      let c, t = timed (fun () -> Crashfs.run_campaign config ~count ~seed:0 ()) in
+      let s = c.Crashfs.total in
+      let name = Crashfs.fs_kind_name fs in
+      let ratio = Crashfs.pruned_ratio s in
+      if c.Crashfs.findings <> [] then
+        Fmt.epr "WARNING: %s reported %d finding(s) during the bench@." name
+          (List.length c.Crashfs.findings);
+      Fmt.pr "%-6s %6d %8d %10d %10d %10.3f %12.0f %12.0f %7.1f%%@." name c.Crashfs.runs
+        s.Crashfs.boundaries s.Crashfs.images s.Crashfs.recoveries t
+        (float_of_int s.Crashfs.images /. t)
+        (float_of_int s.Crashfs.recoveries /. t)
+        (100. *. ratio);
+      record "crashfs" name "-"
+        [
+          ("runs", float c.Crashfs.runs);
+          ("ops", float s.Crashfs.ops);
+          ("applied", float s.Crashfs.applied);
+          ("boundaries", float s.Crashfs.boundaries);
+          ("explored", float s.Crashfs.explored);
+          ("images", float s.Crashfs.images);
+          ("recoveries", float s.Crashfs.recoveries);
+          ("avoided", s.Crashfs.avoided);
+          ("pruned_ratio", ratio);
+          ("images_per_s", float_of_int s.Crashfs.images /. t);
+          ("recoveries_per_s", float_of_int s.Crashfs.recoveries /. t);
+          ("findings", float (List.length c.Crashfs.findings));
+        ])
     [ Crashfs.Pmfs; Crashfs.Nova ];
   Fmt.pr "@.(remounting dominates; every remount replays recovery plus the fsck@.";
-  Fmt.pr " invariants, so the pruned ratio is the speedup the bounding buys)@.";
-  match !json_path with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    Printf.fprintf oc "{\n  \"bench\": \"crashfs\",\n  \"fs\": [\n%s\n  ]\n}\n"
-      (String.concat ",\n" (List.rev !rows));
-    close_out oc;
-    Fmt.pr "@.JSON written to %s@." path
+  Fmt.pr " invariants, so the pruned ratio is the speedup the bounding buys)@."
 
 (* --- Driver ----------------------------------------------------------------------------- *)
 
@@ -1632,9 +1553,6 @@ let () =
     | "--runs" :: v :: rest ->
       runs := int_of_string v;
       parse rest
-    | "--tsv" :: v :: rest ->
-      tsv_path := Some v;
-      parse rest
     | "--json" :: v :: rest ->
       json_path := Some v;
       parse rest
@@ -1666,4 +1584,4 @@ let () =
   Fmt.pr "PMTest benchmark harness — %d insertions, %d workload ops, best of %d runs@."
     !insertions !kv_ops !runs;
   List.iter (fun (_, f) -> f ()) selected;
-  write_tsv ()
+  write_json ()

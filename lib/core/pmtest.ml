@@ -75,10 +75,18 @@ let emit ?(thread = 0) ?(loc = Loc.none) t kind =
   if Obs.enabled t.obs then Obs.event_traced t.obs;
   Builder.emit (builder t thread) kind loc
 
+(* A range the engine's shadow memory cannot hold would otherwise raise
+   later, inside a checking worker; reject it at the call instead. *)
+let check_range fn ~addr ~size =
+  if not (Event.valid_range ~addr ~size) then
+    invalid_arg (Printf.sprintf "Pmtest.%s: invalid range (addr %d, size %d)" fn addr size)
+
 let exclude ?thread ?loc t ~addr ~size =
+  check_range "exclude" ~addr ~size;
   emit ?thread ?loc t (Event.Control (Event.Exclude { addr; size }))
 
 let include_ ?thread ?loc t ~addr ~size =
+  check_range "include_" ~addr ~size;
   emit ?thread ?loc t (Event.Control (Event.Include { addr; size }))
 
 let lint_off ?thread ?loc ?(rule = "*") t =
@@ -132,6 +140,7 @@ let get_result t = Runtime.get_result t.runtime
 let section_length ?(thread = 0) t = Builder.length (builder t thread)
 
 let is_persist ?thread ?loc t ~addr ~size =
+  check_range "is_persist" ~addr ~size;
   emit ?thread ?loc t (Event.Checker (Event.Is_persist { addr; size }))
 
 let is_persist_var ?thread ?loc t name =
@@ -140,6 +149,8 @@ let is_persist_var ?thread ?loc t name =
   | Some (addr, size) -> is_persist ?thread ?loc t ~addr ~size
 
 let is_ordered_before ?thread ?loc t ~a_addr ~a_size ~b_addr ~b_size =
+  check_range "is_ordered_before" ~addr:a_addr ~size:a_size;
+  check_range "is_ordered_before" ~addr:b_addr ~size:b_size;
   emit ?thread ?loc t (Event.Checker (Event.Is_ordered_before { a_addr; a_size; b_addr; b_size }))
 
 let tx_checker_start ?thread ?loc t = emit ?thread ?loc t (Event.Tx Event.Tx_checker_start)

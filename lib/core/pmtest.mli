@@ -74,6 +74,8 @@ val emit : ?thread:int -> ?loc:Loc.t -> t -> Event.kind -> unit
 
 val exclude : ?thread:int -> ?loc:Loc.t -> t -> addr:int -> size:int -> unit
 val include_ : ?thread:int -> ?loc:Loc.t -> t -> addr:int -> size:int -> unit
+(** Both raise [Invalid_argument] unless {!Event.valid_range} holds, as
+    do {!is_persist} and {!is_ordered_before}. *)
 
 val lint_off : ?thread:int -> ?loc:Loc.t -> ?rule:string -> t -> unit
 (** Emit an inline suppression marker for the named static lint rule

@@ -699,7 +699,7 @@ let pp ppf s =
       (List.length s.spans);
   Format.fprintf ppf "@]"
 
-(* --- TSV sink (round-trippable) --------------------------------------------- *)
+(* --- TSV sink ---------------------------------------------------------------- *)
 
 let counter_fields s =
   [
@@ -768,113 +768,6 @@ let to_tsv s =
         sp.done_ns sp.merged_ns)
     s.spans;
   Buffer.contents b
-
-let of_tsv text =
-  let snap = ref empty_snapshot in
-  let err = ref None in
-  let fail fmt = Printf.ksprintf (fun m -> if !err = None then err := Some m) fmt in
-  let set_counter k v =
-    let s = !snap in
-    match k with
-    | "elapsed_ns" -> snap := { s with elapsed_ns = v }
-    | "events_traced" -> snap := { s with events_traced = v }
-    | "sections_sent" -> snap := { s with sections_sent = v }
-    | "sections_checked" -> snap := { s with sections_checked = v }
-    | "sections_merged" -> snap := { s with sections_merged = v }
-    | "sections_dropped" -> snap := { s with sections_dropped = v }
-    | "queue_hwm" -> snap := { s with queue_hwm = v }
-    | "reorder_hwm" -> snap := { s with reorder_hwm = v }
-    | "entries_checked" -> snap := { s with entries_checked = v }
-    | "ops_checked" -> snap := { s with ops_checked = v }
-    | "checkers_run" -> snap := { s with checkers_run = v }
-    | "diagnostics" -> snap := { s with diagnostics = v }
-    | "batches" -> snap := { s with batches = v }
-    | "batch_sections_max" -> snap := { s with batch_sections_max = v }
-    | "arenas_allocated" -> snap := { s with arenas_allocated = v }
-    | "arenas_reused" -> snap := { s with arenas_reused = v }
-    | "repair_traces" -> snap := { s with repair_traces = v }
-    | "repair_edits" -> snap := { s with repair_edits = v }
-    | "repair_rounds" -> snap := { s with repair_rounds = v }
-    | "repair_ns" -> snap := { s with repair_ns = v }
-    | "repair_verify_ns" -> snap := { s with repair_verify_ns = v }
-    | "serve_sessions_opened" -> snap := { s with serve = { s.serve with sessions_opened = v } }
-    | "serve_sessions_closed" -> snap := { s with serve = { s.serve with sessions_closed = v } }
-    | "serve_sessions_hwm" -> snap := { s with serve = { s.serve with sessions_hwm = v } }
-    | "serve_frames_in" -> snap := { s with serve = { s.serve with frames_in = v } }
-    | "serve_frames_out" -> snap := { s with serve = { s.serve with frames_out = v } }
-    | "serve_frame_bytes_in" -> snap := { s with serve = { s.serve with frame_bytes_in = v } }
-    | "serve_frame_bytes_out" -> snap := { s with serve = { s.serve with frame_bytes_out = v } }
-    | "serve_frames_corrupt" -> snap := { s with serve = { s.serve with frames_corrupt = v } }
-    | "serve_sections_shed" -> snap := { s with serve = { s.serve with sections_shed = v } }
-    | "serve_inflight_hwm" -> snap := { s with serve = { s.serve with inflight_hwm = v } }
-    | "farm_workers" -> snap := { s with farm = { s.farm with farm_workers = v } }
-    | "farm_workers_lost" -> snap := { s with farm = { s.farm with farm_workers_lost = v } }
-    | "farm_jobs" -> snap := { s with farm = { s.farm with farm_jobs = v } }
-    | "farm_jobs_done" -> snap := { s with farm = { s.farm with farm_jobs_done = v } }
-    | "farm_offers" -> snap := { s with farm = { s.farm with farm_offers = v } }
-    | "farm_retries" -> snap := { s with farm = { s.farm with farm_retries = v } }
-    | "farm_steals" -> snap := { s with farm = { s.farm with farm_steals = v } }
-    | "farm_reassignments" -> snap := { s with farm = { s.farm with farm_reassignments = v } }
-    | "farm_findings" -> snap := { s with farm = { s.farm with farm_findings = v } }
-    | "farm_dup_findings" -> snap := { s with farm = { s.farm with farm_dup_findings = v } }
-    | "farm_nondet" -> snap := { s with farm = { s.farm with farm_nondet = v } }
-    | "farm_heartbeats" -> snap := { s with farm = { s.farm with farm_heartbeats = v } }
-    | "farm_checkpoints" -> snap := { s with farm = { s.farm with farm_checkpoints = v } }
-    | other -> fail "unknown counter %S" other
-  in
-  let set_hist name f =
-    let s = !snap in
-    match name with
-    | "check" -> snap := { s with check_hist = f s.check_hist }
-    | "e2e" -> snap := { s with e2e_hist = f s.e2e_hist }
-    | "serve" -> snap := { s with serve_hist = f s.serve_hist }
-    | other -> fail "unknown histogram %S" other
-  in
-  let ints l = List.map int_of_string l in
-  List.iter
-    (fun l ->
-      if !err = None && String.trim l <> "" then
-        match String.split_on_char '\t' l with
-        | [ "counter"; k; v ] -> (
-          match int_of_string_opt v with
-          | Some v -> set_counter k v
-          | None -> fail "bad counter value in %S" l)
-        | "worker" :: rest -> (
-          match ints rest with
-          | [ id; sections; busy_ns ] ->
-            let s = !snap in
-            snap := { s with workers = s.workers @ [ { id; sections; busy_ns } ] }
-          | _ | (exception Failure _) -> fail "malformed worker line %S" l)
-        | "shard" :: rest -> (
-          match ints rest with
-          | [ shard; shard_sessions; shard_sections ] ->
-            let s = !snap in
-            snap :=
-              { s with shards = s.shards @ [ { shard; shard_sessions; shard_sections } ] }
-          | _ | (exception Failure _) -> fail "malformed shard line %S" l)
-        | "hist" :: name :: rest -> (
-          match ints rest with
-          | [ total; sum_ns; min_ns; max_ns ] ->
-            set_hist name (fun _ -> { total; sum_ns; min_ns; max_ns; buckets = [] })
-          | _ | (exception Failure _) -> fail "malformed hist line %S" l)
-        | "histbucket" :: name :: rest -> (
-          match ints rest with
-          | [ i; c ] -> set_hist name (fun h -> { h with buckets = h.buckets @ [ (i, c) ] })
-          | _ | (exception Failure _) -> fail "malformed histbucket line %S" l)
-        | "span" :: rest -> (
-          match ints rest with
-          | [ seq; worker; entries; sent_ns; start_ns; done_ns; merged_ns ] ->
-            let s = !snap in
-            snap :=
-              {
-                s with
-                spans =
-                  s.spans @ [ { seq; worker; entries; sent_ns; start_ns; done_ns; merged_ns } ];
-              }
-          | _ | (exception Failure _) -> fail "malformed span line %S" l)
-        | _ -> fail "unrecognized line %S" l)
-    (String.split_on_char '\n' text);
-  match !err with Some m -> Error m | None -> Ok !snap
 
 (* --- JSON-lines sink --------------------------------------------------------- *)
 

@@ -4,8 +4,8 @@
     it records, the runtime stamps each section's trip through dispatch,
     worker checking and in-order merge, and the engine reports what it
     examined. Everything is exposed as immutable {!snapshot} values that
-    can be pretty-printed, serialized to TSV (machine-readable,
-    round-trippable via {!of_tsv}) or to JSON lines.
+    can be pretty-printed, serialized to TSV (one machine-readable
+    line per datum) or to JSON lines.
 
     The disabled path is deliberately free: {!disabled} is a singleton
     whose [on] field is an immutable [false], every hook is guarded by
@@ -266,9 +266,6 @@ val pp : Format.formatter -> snapshot -> unit
 
 val to_tsv : snapshot -> string
 (** Machine-readable: one [tag\tfield...] line per datum. *)
-
-val of_tsv : string -> (snapshot, string) result
-(** Inverse of {!to_tsv}: [of_tsv (to_tsv s) = Ok s]. *)
 
 val to_jsonl : snapshot -> string
 (** JSON-lines: one object per line ([counters], [worker], [hist],

@@ -27,6 +27,8 @@ type kind =
 
 type t = { kind : kind; loc : Loc.t; thread : int }
 
+let valid_range ~addr ~size = size > 0 && addr >= 0 && addr <= max_int - size
+
 let make ?(thread = 0) ?(loc = Loc.none) kind = { kind; loc; thread }
 
 let pp_kind ppf = function

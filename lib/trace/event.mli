@@ -42,6 +42,12 @@ type kind =
 
 type t = { kind : kind; loc : Loc.t; thread : int }
 
+val valid_range : addr:int -> size:int -> bool
+(** [size > 0], [addr >= 0] and [addr + size] does not overflow.  The
+    engine's shadow memory needs a non-empty range, so every range that
+    enters from outside the program (a wire frame, a [.pmt] line, a
+    checker or scope call) is checked against this first. *)
+
 val make : ?thread:int -> ?loc:Loc.t -> kind -> t
 val pp : Format.formatter -> t -> unit
 val pp_kind : Format.formatter -> kind -> unit

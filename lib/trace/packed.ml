@@ -364,6 +364,12 @@ let read_u_checked t pos =
   in
   go pos 0 0
 
+(* The engine's shadow memory rejects an empty or wrapping range with an
+   exception; from a hostile arena that must be a typed error here. *)
+let check_range pos addr size =
+  if not (Event.valid_range ~addr ~size) then
+    bad pos "invalid range: addr %d, size %d" addr size
+
 let read_checked t ~pos (v : view) =
   try
     if pos < 0 || pos >= t.len then bad pos "event offset out of bounds";
@@ -384,6 +390,7 @@ let read_checked t ~pos (v : view) =
       | T_write | T_clwb | T_is_persist | T_tx_add | T_exclude | T_include ->
         let a, p = arg p in
         let b, p = arg p in
+        check_range pos a b;
         v.a <- a;
         v.b <- b;
         p
@@ -392,6 +399,8 @@ let read_checked t ~pos (v : view) =
         let b, p = arg p in
         let c, p = arg p in
         let d, p = arg p in
+        check_range pos a b;
+        check_range pos c d;
         v.a <- a;
         v.b <- b;
         v.c <- c;
@@ -490,45 +499,23 @@ let reset_for_decode t =
 
    Slot 0 is always [Loc.none] and is not transmitted. *)
 
-let put_uv buf u =
-  let rec go u =
-    if u < 0x80 then Buffer.add_char buf (Char.unsafe_chr u)
-    else begin
-      Buffer.add_char buf (Char.unsafe_chr (u land 0x7f lor 0x80));
-      go (u lsr 7)
-    end
-  in
-  if u < 0 then invalid_arg "Packed.encode_wire: negative length field";
-  go u
-
 let encode_wire t =
   let b = Buffer.create (t.len + 64) in
-  put_uv b (Vec.length t.locs);
+  Leb128.put b (Vec.length t.locs);
   for i = 1 to Vec.length t.locs - 1 do
     let l = Vec.get t.locs i in
-    put_uv b l.Loc.line;
-    put_uv b (String.length l.Loc.file);
+    Leb128.put b l.Loc.line;
+    Leb128.put b (String.length l.Loc.file);
     Buffer.add_string b l.Loc.file
   done;
-  put_uv b t.count;
-  put_uv b t.len;
+  Leb128.put b t.count;
+  Leb128.put b t.len;
   Buffer.add_subbytes b t.buf 0 t.len;
   Buffer.contents b
 
 let decode_wire ?obs ?pool s =
   let slen = String.length s in
-  let uv pos =
-    let rec go p shift acc =
-      if p >= slen then bad pos "truncated varint"
-      else if shift > 63 then bad pos "varint too long"
-      else begin
-        let b = Char.code (String.unsafe_get s p) in
-        let acc = acc lor ((b land 0x7f) lsl shift) in
-        if b land 0x80 <> 0 then go (p + 1) (shift + 7) acc else (acc, p + 1)
-      end
-    in
-    go pos 0 0
-  in
+  let uv pos = try Leb128.get s pos with Leb128.Malformed m -> bad pos "%s" m in
   try
     let nlocs, p = uv 0 in
     if nlocs < 1 then bad 0 "location table must include slot 0";
@@ -545,16 +532,14 @@ let decode_wire ?obs ?pool s =
     let p = ref p in
     for _ = 1 to nlocs - 1 do
       let line, q = uv !p in
-      if line < 0 then bad !p "negative location line";
       let flen, q = uv q in
-      if flen < 0 || flen > slen - q then bad q "file name overruns the frame";
+      if flen > slen - q then bad q "file name overruns the frame";
       Vec.push t.locs (Loc.make ~file:(String.sub s q flen) ~line);
       p := q + flen
     done;
     let count, q = uv !p in
-    if count < 0 then bad !p "negative event count";
     let blen, q = uv q in
-    if blen < 0 || blen <> slen - q then bad q "event bytes do not fill the frame";
+    if blen <> slen - q then bad q "event bytes do not fill the frame";
     if Bytes.length t.buf < blen then t.buf <- Bytes.create blen;
     Bytes.blit_string s q t.buf 0 blen;
     t.len <- blen;

@@ -44,28 +44,37 @@ let entry_of_line line =
       let loc = if file = "-" && lineno = 0 then Loc.none else Loc.make ~file ~line:lineno in
       let ints () = List.filter_map int_of_string_opt args in
       let mk kind = Ok (Event.make ~thread ~loc kind) in
+      let ranged ranges kind =
+        if List.for_all (fun (addr, size) -> Event.valid_range ~addr ~size) ranges then mk kind
+        else Error (Printf.sprintf "invalid range (empty, negative or overflowing) in %S" line)
+      in
       match (kind, args) with
       | "lo", [ rule ] -> mk (Event.Control (Event.Lint_off { rule }))
       | "li", [ rule ] -> mk (Event.Control (Event.Lint_on { rule }))
       | _ -> (
       match (kind, ints ()) with
-      | "w", [ addr; size ] -> mk (Event.Op (Model.Write { addr; size }))
-      | "f", [ addr; size ] -> mk (Event.Op (Model.Clwb { addr; size }))
+      | "w", [ addr; size ] -> ranged [ (addr, size) ] (Event.Op (Model.Write { addr; size }))
+      | "f", [ addr; size ] -> ranged [ (addr, size) ] (Event.Op (Model.Clwb { addr; size }))
       | "s", [] -> mk (Event.Op Model.Sfence)
       | "o", [] -> mk (Event.Op Model.Ofence)
       | "d", [] -> mk (Event.Op Model.Dfence)
       | "g", [] -> mk (Event.Op Model.Gpf)
-      | "cp", [ addr; size ] -> mk (Event.Checker (Event.Is_persist { addr; size }))
+      | "cp", [ addr; size ] ->
+        ranged [ (addr, size) ] (Event.Checker (Event.Is_persist { addr; size }))
       | "co", [ a_addr; a_size; b_addr; b_size ] ->
-        mk (Event.Checker (Event.Is_ordered_before { a_addr; a_size; b_addr; b_size }))
+        ranged
+          [ (a_addr, a_size); (b_addr, b_size) ]
+          (Event.Checker (Event.Is_ordered_before { a_addr; a_size; b_addr; b_size }))
       | "tb", [] -> mk (Event.Tx Event.Tx_begin)
       | "tc", [] -> mk (Event.Tx Event.Tx_commit)
       | "ta", [] -> mk (Event.Tx Event.Tx_abort)
-      | "tA", [ addr; size ] -> mk (Event.Tx (Event.Tx_add { addr; size }))
+      | "tA", [ addr; size ] -> ranged [ (addr, size) ] (Event.Tx (Event.Tx_add { addr; size }))
       | "ts", [] -> mk (Event.Tx Event.Tx_checker_start)
       | "te", [] -> mk (Event.Tx Event.Tx_checker_end)
-      | "xe", [ addr; size ] -> mk (Event.Control (Event.Exclude { addr; size }))
-      | "xi", [ addr; size ] -> mk (Event.Control (Event.Include { addr; size }))
+      | "xe", [ addr; size ] ->
+        ranged [ (addr, size) ] (Event.Control (Event.Exclude { addr; size }))
+      | "xi", [ addr; size ] ->
+        ranged [ (addr, size) ] (Event.Control (Event.Include { addr; size }))
       | _ -> Error (Printf.sprintf "unknown or malformed entry %S" line)))
     | _ -> Error (Printf.sprintf "bad thread/line fields in %S" line))
   | _ -> Error (Printf.sprintf "too few fields in %S" line)

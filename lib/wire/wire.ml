@@ -327,41 +327,14 @@ let rec read_batch r =
 
 (* --- Payload codecs ------------------------------------------------------ *)
 
-(* Same unsigned LEB128 the packed arenas use; lengths and counts only
-   (nothing here is signed).  The guard matters: without it a negative
-   value reaches [Char.chr] after a handful of shifts and raises an
-   [Invalid_argument] with no hint of where it came from — callers must
-   validate signed quantities (seeds, ranges) before encoding. *)
-let put_uv b v =
-  if v < 0 then
-    invalid_arg (Printf.sprintf "Wire.put_uv: negative value %d (unsigned LEB128 only)" v);
-  let v = ref v in
-  while !v >= 0x80 do
-    Buffer.add_char b (Char.chr (0x80 lor (!v land 0x7f)));
-    v := !v lsr 7
-  done;
-  Buffer.add_char b (Char.chr !v)
-
 (* Reader over a payload string; all access bounds-checked, errors as
    [Corrupt]. *)
 exception Bad of string
 
-let get_uv s pos =
-  let len = String.length s in
-  let v = ref 0 and shift = ref 0 and p = ref pos and fin = ref false in
-  while not !fin do
-    if !p >= len then raise (Bad "truncated varint");
-    if !shift > 62 then raise (Bad "varint overflow");
-    let c = Char.code s.[!p] in
-    incr p;
-    v := !v lor ((c land 0x7f) lsl !shift);
-    shift := !shift + 7;
-    if c < 0x80 then fin := true
-  done;
-  (!v, !p)
+let get_uv s pos = try Leb128.get s pos with Leb128.Malformed m -> raise (Bad m)
 
 let put_str b s =
-  put_uv b (String.length s);
+  Leb128.put b (String.length s);
   Buffer.add_string b s
 
 let get_str s pos =
@@ -380,7 +353,7 @@ let model_of_code = function 0 -> Model.X86 | 1 -> Model.Hops | 2 -> Model.Eadr 
 
 let encode_hello ~model =
   let b = Buffer.create 4 in
-  put_uv b (model_code model);
+  Leb128.put b (model_code model);
   Buffer.contents b
 
 let decode_hello s =
@@ -401,9 +374,9 @@ let policy_name = function Block -> "block" | Shed -> "shed"
 
 let encode_hello_ack ~session ~max_inflight ~policy =
   let b = Buffer.create 8 in
-  put_uv b session;
-  put_uv b max_inflight;
-  put_uv b (policy_code policy);
+  Leb128.put b session;
+  Leb128.put b max_inflight;
+  Leb128.put b (policy_code policy);
   Buffer.contents b
 
 let decode_hello_ack s =
@@ -448,16 +421,16 @@ let report_kind_of_code c =
 
 let encode_report (r : Report.t) =
   let b = Buffer.create 64 in
-  put_uv b r.Report.entries;
-  put_uv b r.Report.ops;
-  put_uv b r.Report.checkers;
-  put_uv b (List.length r.Report.diagnostics);
+  Leb128.put b r.Report.entries;
+  Leb128.put b r.Report.ops;
+  Leb128.put b r.Report.checkers;
+  Leb128.put b (List.length r.Report.diagnostics);
   List.iter
     (fun (d : Report.diagnostic) ->
-      put_uv b (report_kind_code d.Report.kind);
+      Leb128.put b (report_kind_code d.Report.kind);
       let loc = (d.Report.loc :> Loc.t) in
       put_str b (if Loc.is_none d.Report.loc then "" else loc.Loc.file);
-      put_uv b loc.Loc.line;
+      Leb128.put b loc.Loc.line;
       put_str b d.Report.message)
     r.Report.diagnostics;
   Buffer.contents b
@@ -510,9 +483,9 @@ let decode_err s =
 
 let encode_worker_hello ~farm ~name ~engines =
   let b = Buffer.create 16 in
-  put_uv b farm;
+  Leb128.put b farm;
   put_str b name;
-  put_uv b engines;
+  Leb128.put b engines;
   Buffer.contents b
 
 let decode_worker_hello s =
@@ -527,10 +500,10 @@ let decode_worker_hello s =
 
 let encode_job_offer ~job ~attempt ~lo ~hi ~spec =
   let b = Buffer.create 32 in
-  put_uv b job;
-  put_uv b attempt;
-  put_uv b lo;
-  put_uv b hi;
+  Leb128.put b job;
+  Leb128.put b attempt;
+  Leb128.put b lo;
+  Leb128.put b hi;
   put_str b spec;
   Buffer.contents b
 
@@ -549,8 +522,8 @@ let decode_job_offer s =
 
 let encode_job_claim ~job ~attempt =
   let b = Buffer.create 8 in
-  put_uv b job;
-  put_uv b attempt;
+  Leb128.put b job;
+  Leb128.put b attempt;
   Buffer.contents b
 
 let decode_job_claim s =
@@ -564,12 +537,12 @@ let decode_job_claim s =
 
 let encode_job_result ~job ~attempt ~digest ~units ~elapsed_ms ~findings =
   let b = Buffer.create 64 in
-  put_uv b job;
-  put_uv b attempt;
+  Leb128.put b job;
+  Leb128.put b attempt;
   put_str b digest;
-  put_uv b units;
-  put_uv b elapsed_ms;
-  put_uv b (List.length findings);
+  Leb128.put b units;
+  Leb128.put b elapsed_ms;
+  Leb128.put b (List.length findings);
   List.iter
     (fun (name, text) ->
       put_str b name;
@@ -605,8 +578,8 @@ let decode_job_result s =
 
 let encode_job_refused ~job ~attempt ~reason =
   let b = Buffer.create 32 in
-  put_uv b job;
-  put_uv b attempt;
+  Leb128.put b job;
+  Leb128.put b attempt;
   put_str b reason;
   Buffer.contents b
 
@@ -626,8 +599,8 @@ let decode_job_refused s =
 
 let encode_checkpoint ~running ~jobs_done =
   let b = Buffer.create 8 in
-  put_uv b (match running with None -> 0 | Some j -> j + 1);
-  put_uv b jobs_done;
+  Leb128.put b (match running with None -> 0 | Some j -> j + 1);
+  Leb128.put b jobs_done;
   Buffer.contents b
 
 let decode_checkpoint s =

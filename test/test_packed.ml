@@ -224,6 +224,21 @@ let test_wire_truncated () =
   done;
   expect_decode_error "one byte short" (String.sub s 0 (String.length s - 1))
 
+let test_wire_invalid_ranges () =
+  (* Well-formed varints, ranges the engine's shadow memory cannot hold. *)
+  List.iter
+    (fun kind ->
+      expect_decode_error
+        (Format.asprintf "%a" Event.pp_kind kind)
+        (Packed.encode_wire (Packed.of_events [| Event.make kind |])))
+    [
+      Event.Op (Model.Write { addr = 0x100; size = 0 });
+      Event.Op (Model.Clwb { addr = -64; size = 64 });
+      Event.Checker
+        (Event.Is_ordered_before { a_addr = 0; a_size = 8; b_addr = 0x100; b_size = 0 });
+      Event.Control (Event.Exclude { addr = max_int; size = 8 });
+    ]
+
 let test_wire_garbage () =
   let rng = Pmtest_util.Rng.create 7 in
   for i = 0 to 99 do
@@ -268,6 +283,7 @@ let () =
           Alcotest.test_case "encode/decode round trip" `Quick test_wire_round_trip;
           Alcotest.test_case "typed errors on truncation" `Quick test_wire_truncated;
           Alcotest.test_case "typed errors on garbage" `Quick test_wire_garbage;
+          Alcotest.test_case "invalid ranges rejected" `Quick test_wire_invalid_ranges;
           Alcotest.test_case "byte corruption never raises" `Quick test_wire_corrupted_tag;
         ] );
       ( "corpus",

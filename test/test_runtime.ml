@@ -263,6 +263,22 @@ let test_session_observers () =
   ignore (Pmtest.finish t);
   Alcotest.(check int) "observer saw every entry" 3 !seen
 
+let test_session_rejects_invalid_ranges () =
+  (* Accepted, such a range would raise later inside a checking worker. *)
+  let t = Pmtest.init ~workers:0 () in
+  let rejected name f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted an invalid range" name
+    | exception Invalid_argument _ -> ()
+  in
+  rejected "is_persist" (fun () -> Pmtest.is_persist t ~addr:0x100 ~size:0);
+  rejected "is_ordered_before" (fun () ->
+      Pmtest.is_ordered_before t ~a_addr:0 ~a_size:8 ~b_addr:0x100 ~b_size:0);
+  rejected "exclude" (fun () -> Pmtest.exclude t ~addr:(-64) ~size:64);
+  rejected "include_" (fun () -> Pmtest.include_ t ~addr:max_int ~size:8);
+  Alcotest.(check int) "nothing recorded" 0 (Pmtest.section_length t);
+  ignore (Pmtest.finish t)
+
 let () =
   Alcotest.run "runtime"
     [
@@ -293,5 +309,7 @@ let () =
           Alcotest.test_case "get_result blocks until drained" `Quick
             test_session_get_result_drains;
           Alcotest.test_case "observers see every entry" `Quick test_session_observers;
+          Alcotest.test_case "invalid ranges rejected at the call" `Quick
+            test_session_rejects_invalid_ranges;
         ] );
     ]

@@ -74,9 +74,25 @@ let test_round_trip_all_kinds () =
   Sys.remove tmp
 
 let test_malformed_line_reported () =
-  match Serial.entry_of_line "zz\t0\t-\t0" with
-  | Error msg -> Alcotest.(check bool) "names the line" true (String.length msg > 0)
-  | Ok _ -> Alcotest.fail "accepted garbage"
+  List.iter
+    (fun line ->
+      match Serial.entry_of_line line with
+      | Ok _ -> Alcotest.failf "accepted %S" line
+      | Error msg ->
+        let quoted = Printf.sprintf "%S" line in
+        let n = String.length quoted in
+        let rec names i =
+          i + n <= String.length msg && (String.sub msg i n = quoted || names (i + 1))
+        in
+        Alcotest.(check bool) ("names the line: " ^ msg) true (names 0))
+    [
+      "zz\t0\t-\t0";
+      (* Well-formed fields, ranges the engine's shadow memory cannot hold. *)
+      "w\t0\tdemo.c\t5\t256\t0";
+      "cp\t0\t-\t0\t-8\t8";
+      "co\t0\t-\t0\t0\t8\t256\t0";
+      Printf.sprintf "xe\t0\t-\t0\t%d\t8" max_int;
+    ]
 
 let test_offline_check_equals_online () =
   (* Record a buggy workload, write the trace out, read it back and check

@@ -168,8 +168,11 @@ let test_concurrent_sessions_isolated () =
 
 (* --- Robustness -------------------------------------------------------------- *)
 
+(* Every raw read is bounded: a daemon that never answers fails the test
+   instead of hanging it. *)
 let connect_raw socket =
   let fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
+  Unix.setsockopt_float fd SO_RCVTIMEO 5.0;
   Unix.connect fd (ADDR_UNIX socket);
   (match Wire.write_frame fd Wire.Hello (Wire.encode_hello ~model:Model.X86) with
   | Ok () -> ()
@@ -250,6 +253,47 @@ let buggy_section =
     Event.make (Event.Op (Model.Write { addr = 0x100; size = 8 }));
     Event.make (Event.Checker (Event.Is_persist { addr = 0x100; size = 8 }));
   |]
+
+let send_section fd events =
+  match Wire.write_frame fd Wire.Section (Packed.encode_wire (Packed.of_events events)) with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (Wire.error_to_string e)
+
+let test_empty_range_rejected () =
+  (* A well-formed frame whose section writes an empty range: the engine's
+     shadow memory would raise inside the shard's checking worker.  The
+     daemon must answer Err instead, and a second session must still get
+     its report.  [Server.stop] drains in-flight sections, which a lost
+     worker never finishes, so the daemon is stopped only once both
+     sessions were answered. *)
+  let socket = next_socket () in
+  let t = Server.start { Server.default_config with Server.socket; shards = 1; workers = 1 } in
+  let fd = connect_raw socket in
+  send_section fd [| Event.make (Event.Op (Model.Write { addr = 0x100; size = 0 })) |];
+  (match Wire.read_frame fd with
+  | Ok (Wire.Err, payload) -> (
+    match Wire.decode_err payload with
+    | Ok msg ->
+      Alcotest.(check bool) ("names the section: " ^ msg) true
+        (String.starts_with ~prefix:"bad section:" msg)
+    | Error e -> Alcotest.fail (Wire.error_to_string e))
+  | Ok (k, _) -> Alcotest.failf "expected err, got %s" (Wire.kind_name k)
+  | Error e -> Alcotest.failf "expected err frame, got %s" (Wire.error_to_string e));
+  Unix.close fd;
+  let fd = connect_raw socket in
+  send_section fd buggy_section;
+  (match Wire.write_frame fd Wire.Get_result "" with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (Wire.error_to_string e));
+  (match Wire.read_frame fd with
+  | Ok (Wire.Report_frame, payload) -> (
+    match Wire.decode_report payload with
+    | Ok r -> Alcotest.(check int) "second session checked" 1 (List.length (Report.fails r))
+    | Error e -> Alcotest.fail (Wire.error_to_string e))
+  | Ok (k, _) -> Alcotest.failf "expected report, got %s" (Wire.kind_name k)
+  | Error e -> Alcotest.failf "second session got no report: %s" (Wire.error_to_string e));
+  Unix.close fd;
+  Server.stop t
 
 let test_shed_policy_drops () =
   let obs = Obs.create () in
@@ -515,6 +559,7 @@ let () =
         [
           Alcotest.test_case "client killed mid-frame" `Quick test_client_killed_mid_frame;
           Alcotest.test_case "garbage section rejected" `Quick test_garbage_section_rejected;
+          Alcotest.test_case "empty range rejected" `Quick test_empty_range_rejected;
           Alcotest.test_case "max-sessions admission control" `Quick test_max_sessions_rejected;
           Alcotest.test_case "shed policy drops deterministically" `Quick test_shed_policy_drops;
           Alcotest.test_case "idle timeout disconnects" `Quick test_idle_timeout_disconnects;

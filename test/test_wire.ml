@@ -245,6 +245,32 @@ let test_batch_eof_mid_payload_is_corrupt () =
 
 (* --- Payload codecs ---------------------------------------------------------- *)
 
+(* The shared unsigned LEB128 codec under every length and count field:
+   the widest int round-trips in nine bytes, and nothing [put] cannot
+   write decodes. *)
+let test_varint_bounds () =
+  let module Leb128 = Pmtest_util.Leb128 in
+  List.iter
+    (fun v ->
+      let b = Buffer.create 10 in
+      Leb128.put b v;
+      let s = Buffer.contents b in
+      Alcotest.(check (pair int int)) (Printf.sprintf "%d round-trips" v) (v, String.length s)
+        (Leb128.get s 0))
+    [ 0; 0x7f; 0x80; 1 lsl 35; max_int ];
+  List.iter
+    (fun (name, s) ->
+      match Leb128.get s 0 with
+      | _ -> Alcotest.failf "%s decoded" name
+      | exception Leb128.Malformed _ -> ())
+    [
+      ("truncated", "\x80");
+      ("ninth byte reaches the sign bit", "\xff\xff\xff\xff\xff\xff\xff\xff\x7f");
+      ("ten bytes", "\x80\x80\x80\x80\x80\x80\x80\x80\x80\x00");
+    ];
+  Alcotest.check_raises "negative refused" (Invalid_argument "Leb128.put: negative value -1")
+    (fun () -> Leb128.put (Buffer.create 1) (-1))
+
 let test_hello_round_trip () =
   List.iter
     (fun model ->
@@ -529,6 +555,7 @@ let () =
         ] );
       ( "codecs",
         [
+          Alcotest.test_case "varint bounds" `Quick test_varint_bounds;
           Alcotest.test_case "hello" `Quick test_hello_round_trip;
           Alcotest.test_case "model code past cxl rejected" `Quick
             test_hello_unknown_model_code;
