@@ -725,8 +725,9 @@ let fuzz_bench () =
             [ ("applied", float applied); ("seconds", secs) ])
         s.Campaign.pair_seconds)
     Model.all_kinds;
-  Fmt.pr "@.(differential checking dominates generation; the crashtest pair enumerates@.";
-  Fmt.pr " versioned crash images and is the budget to watch on long campaigns)@."
+  Fmt.pr "@.(differential checking dominates generation; engine/naive, first in pair order,@.";
+  Fmt.pr " carries the program's one engine run that the later pairs share, and the@.";
+  Fmt.pr " crashtest pair enumerates crash images at the end of the trace only)@."
 
 (* --- Observability overhead ------------------------------------------------------------ *)
 

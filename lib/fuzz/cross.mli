@@ -24,9 +24,12 @@
       {!Oracle} ground truth (isPersist/isOrderedBefore sound {e and}
       complete).
     - {b engine/crashtest}: not under eADR (the simulated device keeps
-      stores volatile). Replaying the program as {!Pmtest_crashtest}
-      steps, every durable image at the final crash point must contain
-      the content of every range the engine claims persisted. Exclusion
+      stores volatile). Replaying the whole program as one
+      {!Pmtest_crashtest} step, every durable image at the end of the
+      trace must contain the content of every range the engine claims
+      persisted. Crashes are injected only there because the engine's
+      claims are end-of-trace claims: an earlier crash point would test
+      images nothing is asserted about. Exclusion
       holes are covered: the engine's shadow now records writes across
       holes (exclusion gates diagnostics, not history), so no stale
       pre-exclusion claim can outlive the data it described — the
@@ -83,7 +86,10 @@ val all_pairs : pair list
 val pair_name : pair -> string
 
 val compare_pair : pair -> Gen.program -> outcome
-(** Deterministic: depends only on the program. *)
+(** Deterministic: depends only on the program. The engine runs once per
+    program: consecutive calls on the same events array and model (as
+    {!run} and a campaign make them) share its report and final shadow
+    snapshot. *)
 
 val run : Gen.program -> (pair * outcome) list
 (** Every pair in {!all_pairs} order. *)

@@ -302,7 +302,7 @@ let verify_static ?(model = Model.X86) ?(rules = Rule.default) ~original (o : ou
     lr.Lint.findings;
   (* 2. Re-repairing is the identity: the plan over the repaired trace
      is empty (idempotence). *)
-  if plan ~model o.repaired (Lint.run ~model ~rules o.repaired) <> [] then
+  if plan ~model o.repaired lr <> [] then
     fail "repair is not idempotent: the repaired trace still has a non-empty plan";
   (* 3. Engine differential. Repairs must never introduce a new
      Fail-severity diagnostic, and must not increase the engine's own

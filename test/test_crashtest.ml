@@ -272,6 +272,52 @@ let test_cxl_visibility_is_not_durability () =
   Alcotest.(check bool) "gpf-covered payload is in every image" true !all_have_payload;
   Alcotest.(check bool) "visible flag is absent from some image" true !missing_flag
 
+(* --- End-of-trace injection ------------------------------------------------------ *)
+
+(* The engine/crashtest fuzz contract replays a whole program as one
+   step and injects crashes only at the end of the trace.  That one
+   injection must still catch a false durability claim, both when the
+   point's crash states are enumerated and when there are more than
+   [exhaustive_limit] of them and the point is sampled. *)
+let end_of_trace_verdict ~dirty_lines =
+  let line = 64 in
+  let machine = Machine.create ~track_versions:true ~size:(line * (dirty_lines + 1)) () in
+  let replayed = ref false in
+  let step _ =
+    (* One flushed and fenced line, then [dirty_lines] lines never
+       flushed. *)
+    Machine.store machine ~addr:0 (Bytes.make line 'f');
+    Machine.clwb machine ~addr:0 ~size:line;
+    Machine.sfence machine;
+    for i = 1 to dirty_lines do
+      Machine.store machine ~addr:(i * line) (Bytes.make line 'd')
+    done;
+    replayed := true
+  in
+  (* The claim under test: the first unflushed line is durable.  The
+     pre-replay point asserts nothing, as in the fuzz contract. *)
+  let recover img =
+    if not !replayed then Ok ()
+    else if Bytes.sub_string img 0 line <> String.make line 'f' then Error "fenced line lost"
+    else if Bytes.sub_string img line line <> String.make line 'd' then
+      Error "unflushed range not durable"
+    else Ok ()
+  in
+  Crashtest.run ~machine ~recover ~steps:1 ~step ()
+
+let test_end_of_trace_catches ~dirty_lines ~exhaustive ~images () =
+  let v = end_of_trace_verdict ~dirty_lines in
+  Alcotest.(check int) "pre-replay point and end of trace" 2 v.Crashtest.crash_points;
+  Alcotest.(check int) "enumerated points" exhaustive v.Crashtest.exhaustive_points;
+  Alcotest.(check int) "images tested" images v.Crashtest.images_tested;
+  Alcotest.(check bool) "the false claim is caught" false (Crashtest.survived v);
+  List.iter
+    (fun (f : Crashtest.failure) ->
+      Alcotest.(check int) "caught at the end of the trace" 0 f.Crashtest.crash_point;
+      Alcotest.(check string) "only the unflushed line is missing" "unflushed range not durable"
+        f.Crashtest.message)
+    v.Crashtest.failures
+
 (* --- Agreement with PMTest ------------------------------------------------------- *)
 
 let test_pmtest_verdict_predicts_crash_outcome () =
@@ -329,6 +375,17 @@ let () =
           Alcotest.test_case "missing gpf breaks recovery" `Quick test_cxl_missing_gpf_breaks;
           Alcotest.test_case "visibility is not durability" `Quick
             test_cxl_visibility_is_not_durability;
+        ] );
+      ( "end-of-trace",
+        [
+          (* One dirty line: 2 crash states, enumerated. *)
+          Alcotest.test_case "enumerated point catches a false claim" `Quick
+            (test_end_of_trace_catches ~dirty_lines:1 ~exhaustive:2 ~images:3);
+          (* Nine dirty lines: 512 crash states, over the default limit of
+             256, so the end-of-trace point is sampled. *)
+          Alcotest.test_case "sampled point catches a false claim" `Quick
+            (test_end_of_trace_catches ~dirty_lines:9 ~exhaustive:1
+               ~images:(1 + Crashtest.default_config.Crashtest.samples_per_point));
         ] );
       ( "pmtest-agreement",
         [

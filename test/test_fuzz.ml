@@ -85,9 +85,64 @@ let test_campaign_no_disagreements () =
             Alcotest.(check bool)
               (Model.kind_name model ^ " oracle applied to a real share")
               true (n > 20)
-          | Cross.Engine_vs_pmemcheck | Cross.Engine_vs_crashtest -> ())
+          | Cross.Engine_vs_crashtest ->
+            (* The simulated device has no eADR; every other model
+               applies on every generated program. *)
+            Alcotest.(check int)
+              (Model.kind_name model ^ " crashtest applied")
+              (if model = Model.Eadr then 0 else 150)
+              n
+          | Cross.Engine_vs_pmemcheck -> ())
         stats.Campaign.applied)
-    models
+    Model.all_kinds
+
+(* Every pair of one program shares a single engine run, memoised by the
+   events array and the model.  Calls interleaved over programs, their
+   shrunk copies and a same-array twin under another model, in scrambled
+   order, must give the outcomes of a pair-by-pair run over each program
+   in turn.  The first pass scrambles each program's family on its own,
+   so relatives often follow one another; the second scrambles all
+   calls. *)
+let test_cross_memo_interleaved () =
+  let family seed =
+    let p = Campaign.program_for_seed (Campaign.default_cfg Model.X86) seed in
+    let n = Array.length p.Gen.events in
+    [|
+      p;
+      { p with Gen.events = Array.sub p.Gen.events 0 (n / 2) };
+      {
+        p with
+        Gen.events =
+          Array.of_list (List.filteri (fun i _ -> i mod 3 <> 1) (Array.to_list p.Gen.events));
+      };
+      { p with Gen.model = Model.Eadr };
+    |]
+  in
+  let families = Array.init 6 family in
+  let pairs = Array.of_list Cross.all_pairs in
+  let in_order =
+    Array.map
+      (Array.map (fun p -> Array.map (fun pair -> Cross.compare_pair pair p) pairs))
+      families
+  in
+  let calls_of f =
+    Array.concat
+      (List.init (Array.length families.(f)) (fun i ->
+           Array.init (Array.length pairs) (fun k -> (f, i, k))))
+  in
+  let rng = Rng.create 5 in
+  let scrambled calls =
+    Rng.shuffle rng calls;
+    calls
+  in
+  let check (f, i, k) =
+    let p = families.(f).(i) in
+    if Cross.compare_pair pairs.(k) p <> in_order.(f).(i).(k) then
+      Alcotest.failf "seed %d copy %d (%d events, %s), %s: outcome depends on call order" f i
+        (Array.length p.Gen.events) (Model.kind_name p.Gen.model) (Cross.pair_name pairs.(k))
+  in
+  Array.iteri (fun f _ -> Array.iter check (scrambled (calls_of f))) families;
+  Array.iter check (scrambled (Array.concat (List.init (Array.length families) calls_of)))
 
 (* --- Shrinking ------------------------------------------------------------- *)
 
@@ -255,6 +310,8 @@ let () =
         [
           Alcotest.test_case "150 programs/model, all pairs agree" `Quick
             test_campaign_no_disagreements;
+          Alcotest.test_case "shared engine run is keyed per program" `Quick
+            test_cross_memo_interleaved;
         ] );
       ( "shrink",
         [
